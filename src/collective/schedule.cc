@@ -4,14 +4,6 @@
 
 namespace flowpulse::collective {
 
-core::Bytes CommSchedule::stage_recv_bytes(std::uint32_t k, std::uint32_t r) const {
-  core::Bytes bytes{};
-  for (const Send& s : stages[k].sends) {
-    if (s.dst_rank == r) bytes += s.bytes;
-  }
-  return bytes;
-}
-
 core::Bytes CommSchedule::wire_payload_bytes() const {
   core::Bytes bytes{};
   for (const Stage& st : stages) {

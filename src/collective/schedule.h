@@ -44,8 +44,6 @@ struct CommSchedule {
   core::Bytes total_bytes{};  ///< collective payload size (B in the paper)
   std::vector<Stage> stages;
 
-  /// Bytes rank `r` expects to receive in stage `k`.
-  [[nodiscard]] core::Bytes stage_recv_bytes(std::uint32_t k, std::uint32_t r) const;
   /// Total bytes sent by all ranks over the whole schedule.
   [[nodiscard]] core::Bytes wire_payload_bytes() const;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace flowpulse::transport {
 
@@ -17,20 +18,29 @@ Transport::Transport(sim::Simulator& simulator, net::Host& host, TransportConfig
 
 std::uint64_t Transport::send_message(const MessageSpec& spec, SendCompleteFn on_complete) {
   assert(spec.bytes > core::Bytes{0});
-  const std::uint64_t msg_id = next_msg_id_++;
-  SendState st;
+  const std::uint64_t msg_id = send_base_ + sends_.size();
+  SendState& st = sends_.emplace_back();
   st.spec = spec;
   st.msg_id = msg_id;
   st.total_segments = static_cast<std::uint32_t>(
       (spec.bytes.v() + config_.mtu_payload - 1) / config_.mtu_payload);
-  st.seg_acked.assign(st.total_segments, 0);
-  st.attempts.assign(st.total_segments, 0);
-  st.wire_time.assign(st.total_segments, sim::Time::zero());
+  st.segments.resize(st.total_segments);
   st.on_complete = std::move(on_complete);
-  auto [it, inserted] = sends_.emplace(msg_id, std::move(st));
-  assert(inserted);
-  pump(it->second);
+  pump(st);
   return msg_id;
+}
+
+Transport::SendState* Transport::in_flight(std::uint64_t msg_id) {
+  if (msg_id < send_base_ || msg_id - send_base_ >= sends_.size()) return nullptr;
+  SendState& st = sends_[msg_id - send_base_];
+  return st.done ? nullptr : &st;
+}
+
+Transport::SourceState& Transport::source_state(net::HostId src) {
+  auto it = std::lower_bound(sources_.begin(), sources_.end(), src,
+                             [](const SourceState& s, net::HostId h) { return s.src < h; });
+  if (it == sources_.end() || it->src != src) it = sources_.insert(it, SourceState{src, {}, {}});
+  return *it;
 }
 
 std::uint32_t Transport::segment_payload(const SendState& st, std::uint32_t seq) const {
@@ -64,8 +74,8 @@ void Transport::transmit_segment(SendState& st, std::uint32_t seq) {
   p.size_bytes = core::Bytes{segment_payload(st, seq)} + net::kHeaderBytes;
   p.kind = net::PacketKind::kData;
   p.priority = st.spec.priority;
-  p.retx = st.attempts[seq];
-  ++st.attempts[seq];
+  p.retx = st.segments[seq].attempts;
+  ++st.segments[seq].attempts;
   host_.nic().enqueue(p);
 }
 
@@ -78,9 +88,9 @@ sim::Time Transport::effective_rto() const {
 
 void Transport::on_wire(const net::Packet& p) {
   if (p.kind != net::PacketKind::kData || p.src != host_.id()) return;
-  auto it = sends_.find(p.msg_id);
-  if (it == sends_.end() || it->second.done || it->second.seg_acked[p.seq]) return;
-  it->second.wire_time[p.seq] = sim_.now();
+  SendState* st = in_flight(p.msg_id);
+  if (st == nullptr || st->segments[p.seq].acked) return;
+  st->segments[p.seq].wire_time = sim_.now();
   const int shift = std::min<int>(p.retx, config_.max_backoff_shift);
   const sim::Time timeout = sim::Time::picoseconds(effective_rto().ps() << shift);
   const std::uint8_t attempt = p.retx;
@@ -90,14 +100,12 @@ void Transport::on_wire(const net::Packet& p) {
 }
 
 void Transport::on_rto(std::uint64_t msg_id, std::uint32_t seq, std::uint8_t attempt) {
-  auto it = sends_.find(msg_id);
-  if (it == sends_.end()) return;
-  SendState& st = it->second;
-  if (st.done || st.seg_acked[seq]) return;       // stale timer: already acked
-  if (st.attempts[seq] != attempt + 1) return;    // stale timer: newer attempt pending
+  SendState* st = in_flight(msg_id);
+  if (st == nullptr || st->segments[seq].acked) return;  // stale timer: already acked
+  if (st->segments[seq].attempts != attempt + 1) return;  // stale timer: newer attempt pending
   ++stats_.retx_packets_sent;
   FP_TRACE(sim_, kRtoFire, "", host_.id().v(), seq, msg_id, static_cast<double>(attempt), "");
-  transmit_segment(st, seq);
+  transmit_segment(*st, seq);
 }
 
 void Transport::on_packet(const net::Packet& p) {
@@ -116,28 +124,41 @@ void Transport::on_packet(const net::Packet& p) {
 
 void Transport::on_data(const net::Packet& p) {
   // Update receive state first so the ACK can carry a SACK bitmap of the
-  // segments below p.seq that have also arrived.
-  RecvState& rs = recvs_[recv_key(p.src, p.msg_id)];
+  // segments below p.seq that have also arrived: all of them, once the
+  // message is complete.
+  const std::uint32_t span = std::min<std::uint32_t>(64, p.seq);
+  std::uint64_t bitmap = span == 64 ? ~0ull : (1ull << span) - 1;
   bool duplicate = false;
-  if (rs.complete) {
+  bool completes = false;
+  SourceState& from = source_state(p.src);
+  if (from.was_delivered(p.msg_id)) {
     duplicate = true;
+  } else if (p.total_segments == 1) {
+    completes = true;
   } else {
-    if (rs.got.empty()) {
-      rs.total_segments = p.total_segments;
-      rs.got.assign(p.total_segments, 0);
+    auto it = std::find_if(from.partial.begin(), from.partial.end(),
+                           [&p](const PartialRecv& r) { return r.msg_id == p.msg_id; });
+    if (it == from.partial.end()) {
+      it = from.partial.insert(
+          it, PartialRecv{p.msg_id, 0, std::vector<std::uint8_t>(p.total_segments, 0)});
     }
-    if (rs.got[p.seq]) {
+    if (it->got[p.seq]) {
       duplicate = true;
     } else {
-      rs.got[p.seq] = 1;
-      ++rs.received;
-      if (rs.received == rs.total_segments) {
-        rs.complete = true;
-        rs.got.clear();
-        rs.got.shrink_to_fit();
+      it->got[p.seq] = 1;
+      completes = ++it->received == it->got.size();
+    }
+    if (completes) {
+      std::iter_swap(it, from.partial.end() - 1);
+      from.partial.pop_back();
+    } else {
+      bitmap = 0;
+      for (std::uint32_t i = 1; i <= span; ++i) {
+        if (it->got[p.seq - i]) bitmap |= 1ull << (i - 1);
       }
     }
   }
+  if (completes) from.mark_delivered(p.msg_id);
   if (duplicate) ++stats_.duplicate_data_received;
 
   // Always acknowledge — late retransmits of a completed message must be
@@ -151,57 +172,54 @@ void Transport::on_data(const net::Packet& p) {
   ack.size_bytes = net::kControlPacketBytes;
   ack.kind = net::PacketKind::kAck;
   ack.priority = net::Priority::kControl;
-  std::uint64_t bitmap = 0;
-  for (std::uint32_t i = 1; i <= 64 && i <= p.seq; ++i) {
-    if (rs.complete || rs.got[p.seq - i]) bitmap |= 1ull << (i - 1);
-  }
   ack.ack_bitmap = bitmap;
   host_.nic().enqueue(ack);
   ++stats_.acks_sent;
 
-  if (rs.complete && !duplicate && rs.received == rs.total_segments) {
-    ++stats_.messages_received;
-    const RecvInfo info{p.src, host_.id(), p.msg_id, p.flow_id, p.msg_bytes};
+  if (completes) deliver(p);
+}
+
+void Transport::deliver(const net::Packet& p) {
+  ++stats_.messages_received;
+  const RecvInfo info{p.src, host_.id(), p.msg_id, p.flow_id, p.msg_bytes};
 #if FP_AUDIT_ENABLED
-    rs.audit_src = p.src;
-    rs.audit_flow = p.flow_id;
-    rs.audit_bytes = p.msg_bytes;
-    ++rs.audit_deliveries;
-    FP_AUDIT(rs.audit_deliveries == 1, "message-exactly-once",
-             "host" + std::to_string(host_.id().v()) + ".transport", p.msg_id, sim_.now().ps(),
-             "message from host" + std::to_string(p.src.v()) + " delivered " +
-                 std::to_string(rs.audit_deliveries) + " times");
+  AuditDelivery& audit = audit_delivered_[{p.src, p.msg_id}];
+  audit.flow = p.flow_id;
+  audit.bytes = p.msg_bytes;
+  ++audit.deliveries;
+  FP_AUDIT(audit.deliveries == 1, "message-exactly-once",
+           "host" + std::to_string(host_.id().v()) + ".transport", p.msg_id, sim_.now().ps(),
+           "message from host" + std::to_string(p.src.v()) + " delivered " +
+               std::to_string(audit.deliveries) + " times");
 #endif
-    for (const RecvHandler& handler : recv_handlers_) handler(info);
-  }
+  for (const RecvHandler& handler : recv_handlers_) handler(info);
 }
 
 #if FP_AUDIT_ENABLED
 void Transport::audit_redeliver(net::HostId src, std::uint64_t msg_id) {
-  auto it = recvs_.find(recv_key(src, msg_id));
-  if (it == recvs_.end() || !it->second.complete) return;
-  RecvState& rs = it->second;
-  ++rs.audit_deliveries;
-  FP_AUDIT(rs.audit_deliveries == 1, "message-exactly-once",
+  auto it = audit_delivered_.find({src, msg_id});
+  if (it == audit_delivered_.end()) return;
+  AuditDelivery& audit = it->second;
+  ++audit.deliveries;
+  FP_AUDIT(audit.deliveries == 1, "message-exactly-once",
            "host" + std::to_string(host_.id().v()) + ".transport", msg_id, sim_.now().ps(),
            "message from host" + std::to_string(src.v()) + " delivered " +
-               std::to_string(rs.audit_deliveries) + " times");
-  const RecvInfo info{rs.audit_src, host_.id(), msg_id, rs.audit_flow, rs.audit_bytes};
+               std::to_string(audit.deliveries) + " times");
+  const RecvInfo info{src, host_.id(), msg_id, audit.flow, audit.bytes};
   for (const RecvHandler& handler : recv_handlers_) handler(info);
 }
 #endif
 
 void Transport::on_ack(const net::Packet& p) {
-  auto it = sends_.find(p.msg_id);
-  if (it == sends_.end()) return;
-  SendState& st = it->second;
-  if (st.done) return;
+  SendState* found = in_flight(p.msg_id);
+  if (found == nullptr) return;
+  SendState& st = *found;
 
   // RTT sampling with Karn's rule: only an unambiguous (first-attempt,
   // not-yet-acked) direct acknowledgement contributes; RFC 6298 smoothing.
-  if (!st.seg_acked[p.seq] && st.attempts[p.seq] == 1 &&
-      st.wire_time[p.seq] > sim::Time::zero()) {
-    const sim::Time sample = sim_.now() - st.wire_time[p.seq];
+  const SegmentState& direct = st.segments[p.seq];
+  if (!direct.acked && direct.attempts == 1 && direct.wire_time > sim::Time::zero()) {
+    const sim::Time sample = sim_.now() - direct.wire_time;
     if (srtt_ == sim::Time::zero()) {
       srtt_ = sample;
       rttvar_ = sim::Time::picoseconds(sample.ps() / 2);
@@ -214,8 +232,9 @@ void Transport::on_ack(const net::Packet& p) {
   }
 
   auto mark_acked = [&st](std::uint32_t seq) {
-    if (st.seg_acked[seq] || st.attempts[seq] == 0) return;
-    st.seg_acked[seq] = 1;
+    SegmentState& seg = st.segments[seq];
+    if (seg.acked || seg.attempts == 0) return;
+    seg.acked = true;
     ++st.acked;
     assert(st.outstanding > 0);
     --st.outstanding;
@@ -236,7 +255,16 @@ void Transport::on_ack(const net::Packet& p) {
                  " next_unsent=" + std::to_string(st.next_unsent) + " of " +
                  std::to_string(st.total_segments) + " segments");
     ++stats_.messages_sent;
-    if (st.on_complete) st.on_complete(st.msg_id);
+    // Free what the message held, then retire the completed prefix of the
+    // window; `st` may be gone after this.
+    const std::uint64_t msg_id = st.msg_id;
+    const SendCompleteFn on_complete = std::exchange(st.on_complete, nullptr);
+    st.segments = std::vector<SegmentState>();
+    while (!sends_.empty() && sends_.front().done) {
+      sends_.pop_front();
+      ++send_base_;
+    }
+    if (on_complete) on_complete(msg_id);
     return;
   }
   pump(st);

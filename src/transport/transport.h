@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/units.h"
@@ -75,6 +77,13 @@ struct TransportStats {
 /// each one individually (selective ACK), and fire the message callback
 /// when the last hole fills. Stale RTO firings (segment already acked) are
 /// ignored rather than cancelled.
+///
+/// State lives only while a message is in flight. The sender keeps its
+/// messages in a window from the oldest unacknowledged one on; a completed
+/// message frees its segment records at once and leaves the window with the
+/// completed prefix. The receiver keeps segment records only for partly
+/// received messages, and one bit per delivered message id per source,
+/// which is what makes delivery exactly-once.
 class Transport {
  public:
   using SendCompleteFn = std::function<void(std::uint64_t msg_id)>;
@@ -116,6 +125,12 @@ class Transport {
 #endif
 
  private:
+  struct SegmentState {
+    sim::Time wire_time = sim::Time::zero();  ///< last wire departure
+    std::uint8_t attempts = 0;                ///< transmissions so far
+    bool acked = false;
+  };
+
   struct SendState {
     MessageSpec spec;
     std::uint64_t msg_id = 0;
@@ -123,26 +138,36 @@ class Transport {
     std::uint32_t next_unsent = 0;
     std::uint32_t acked = 0;
     std::uint32_t outstanding = 0;
-    std::vector<std::uint8_t> seg_acked;  // bool per segment
-    std::vector<std::uint8_t> attempts;   // transmissions so far per segment
-    std::vector<sim::Time> wire_time;     // last wire departure per segment
+    std::vector<SegmentState> segments;  ///< emptied when the message completes
     SendCompleteFn on_complete;
     bool done = false;
   };
 
-  struct RecvState {
-    std::uint64_t total_segments = 0;
-    std::uint64_t received = 0;
-    std::vector<std::uint8_t> got;
-    bool complete = false;
-#if FP_AUDIT_ENABLED
-    std::uint32_t audit_deliveries = 0;  ///< recv-handler firings; must be exactly 1
-    net::HostId audit_src{};
-    net::FlowId audit_flow = 0;
-    core::Bytes audit_bytes{};
-#endif
+  /// A message from one source with some, but not all, segments received.
+  struct PartialRecv {
+    std::uint64_t msg_id = 0;
+    std::uint32_t received = 0;
+    std::vector<std::uint8_t> got;  ///< bool per segment
   };
 
+  /// What the receiver keeps about one source host.
+  struct SourceState {
+    net::HostId src{};
+    std::vector<std::uint64_t> delivered;  ///< bit per msg_id: message delivered
+    std::vector<PartialRecv> partial;      ///< in any order; looked up by msg_id
+
+    [[nodiscard]] bool was_delivered(std::uint64_t msg_id) const {
+      return msg_id / 64 < delivered.size() && ((delivered[msg_id / 64] >> (msg_id % 64)) & 1);
+    }
+    void mark_delivered(std::uint64_t msg_id) {
+      if (msg_id / 64 >= delivered.size()) delivered.resize(msg_id / 64 + 1, 0);
+      delivered[msg_id / 64] |= 1ull << (msg_id % 64);
+    }
+  };
+
+  /// Sender state of `msg_id`, or nullptr once it has completed.
+  [[nodiscard]] SendState* in_flight(std::uint64_t msg_id);
+  [[nodiscard]] SourceState& source_state(net::HostId src);
   void pump(SendState& st);
   void transmit_segment(SendState& st, std::uint32_t seq);
   void on_wire(const net::Packet& p);
@@ -150,25 +175,31 @@ class Transport {
   void on_packet(const net::Packet& p);
   void on_data(const net::Packet& p);
   void on_ack(const net::Packet& p);
+  void deliver(const net::Packet& p);
   [[nodiscard]] std::uint32_t segment_payload(const SendState& st, std::uint32_t seq) const;
-  [[nodiscard]] static std::uint64_t recv_key(net::HostId src, std::uint64_t msg_id) {
-    return (static_cast<std::uint64_t>(src.v()) << 40) ^ msg_id;
-  }
 
   sim::Simulator& sim_;
   net::Host& host_;
   TransportConfig config_;
   TransportStats stats_;
-  std::uint64_t next_msg_id_ = 1;
   sim::Time srtt_ = sim::Time::zero();
   sim::Time rttvar_ = sim::Time::zero();
-  // detlint: ok(unordered): keyed lookup/insert/erase only, never iterated
-  // (enforced by detlint's iteration rule), so hash order cannot reach
-  // results; kept unordered for the per-segment hot path.
-  std::unordered_map<std::uint64_t, SendState> sends_;
-  // detlint: ok(unordered): keyed lookup only, never iterated; hash order
-  // cannot affect delivery order, which is driven by packet arrival events.
-  std::unordered_map<std::uint64_t, RecvState> recvs_;
+  // Sender state by message id: ids are sequential from 1, and message
+  // `send_base_ + i` sits at sends_[i]. The completed prefix is popped, so
+  // the next id is send_base_ + sends_.size().
+  std::deque<SendState> sends_;
+  std::uint64_t send_base_ = 1;
+  std::vector<SourceState> sources_;  // sorted by src
+#if FP_AUDIT_ENABLED
+  /// Audit builds only: a record of every delivered message, so the
+  /// exactly-once check can count deliveries and audit_redeliver replay one.
+  struct AuditDelivery {
+    std::uint32_t deliveries = 0;  ///< recv-handler firings; must be exactly 1
+    net::FlowId flow = 0;
+    core::Bytes bytes{};
+  };
+  std::map<std::pair<net::HostId, std::uint64_t>, AuditDelivery> audit_delivered_;
+#endif
   std::vector<RecvHandler> recv_handlers_;
   ProbeHandler probe_handler_;
 };
