@@ -7,6 +7,7 @@
 
 #include "collective/runner.h"
 #include "core/strong_id.h"
+#include "exp/clos_scenario.h"
 #include "flowpulse/three_level_system.h"
 #include "net/three_level.h"
 #include "sim/simulator.h"
@@ -228,6 +229,27 @@ TEST(ThreeLevelFlowPulse, CoreLinkFaultLocalizedAtSpineTier) {
     spine_max = std::max(spine_max, d);
   }
   EXPECT_GT(spine_max, leaf_max);
+}
+
+// The 1k golden (test_lanes.cc) injects only black holes, which never draw
+// from the fabric's fault RNG. This one drops at random on both monitored
+// tiers, so a switch that wires set_fault_rng differently moves its hash.
+// Both faults are silent (telemetry counts no drop), and every message stays
+// far below the PFC XOFF so no pause fires: audit builds arm a watchdog
+// event per pause and would hash differently.
+TEST(ClosScenarioSmall, RandomDropGolden) {
+  exp::ClosScenarioConfig cfg;
+  cfg.fabric.shape = ThreeLevelInfo{4, 2, 2, 2};
+  cfg.collective_bytes = core::Bytes{256u << 10};
+  cfg.iterations = 3;
+  cfg.lanes = 0;
+  cfg.leaf_faults.push_back({LeafId{5}, 1, FaultSpec::random_drop(0.05)});
+  cfg.core_faults.push_back({2, 0, 1, FaultSpec::random_drop(0.05)});
+  exp::ClosScenario scenario{cfg};
+  const exp::ClosScenarioResult result = scenario.run();
+  EXPECT_GT(result.fabric_counters.dropped_packets, core::Packets{0});
+  EXPECT_EQ(result.fabric_counters.telemetry_dropped_packets, core::Packets{0});
+  EXPECT_EQ(exp::clos_report_hash(result), 6729097530096880850ull);
 }
 
 }  // namespace
