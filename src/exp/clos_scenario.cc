@@ -52,10 +52,6 @@ void ClosScenario::build() {
   transports_ = std::make_unique<transport::TransportLayer>(*lanes_.front(), *fabric_,
                                                             config_.transport);
   flowpulse_ = std::make_unique<fp::ThreeLevelFlowPulse>(*fabric_, config_.threshold);
-  // Deferred in BOTH modes: serial and laned runs then evaluate the exact
-  // same records in the exact same canonical (iteration, row) order at
-  // flush() — the bit-identity the equivalence tests pin.
-  flowpulse_->set_deferred_evaluation(true);
 
   collective::CollectiveConfig cc;
   for (const net::HostId h : core::ids<net::HostId>(fabric_->num_hosts())) {

@@ -1,5 +1,7 @@
 #include "flowpulse/monitor.h"
 
+#include <algorithm>
+
 namespace flowpulse::fp {
 
 void PortMonitor::begin_iteration(net::IterIndex iteration) {
@@ -45,6 +47,25 @@ void PortMonitor::finalize() {
 
 void PortMonitor::flush() {
   if (current_.has_value()) finalize();
+}
+
+std::vector<const IterationRecord*> take_new_records(
+    const std::vector<std::unique_ptr<PortMonitor>>& monitors, std::vector<std::size_t>& taken) {
+  taken.resize(monitors.size(), 0);
+  std::vector<const IterationRecord*> pending;
+  for (std::size_t m = 0; m < monitors.size(); ++m) {
+    const auto& history = monitors[m]->history();
+    for (std::size_t i = taken[m]; i < history.size(); ++i) pending.push_back(&history[i]);
+    taken[m] = history.size();
+  }
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const IterationRecord* a, const IterationRecord* b) {
+                     if (a->iteration.v() != b->iteration.v()) {
+                       return a->iteration.v() < b->iteration.v();
+                     }
+                     return a->leaf.v() < b->leaf.v();
+                   });
+  return pending;
 }
 
 }  // namespace flowpulse::fp

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -99,5 +101,13 @@ class PortMonitor {
   std::vector<std::uint64_t> audit_bytes_;
 #endif
 };
+
+/// Every record `monitors` finalized since the previous call, in canonical
+/// (iteration, monitor id) order; `taken[m]` counts monitor m's records
+/// already returned and is advanced. Each history is iteration-ordered, and
+/// the merge does not depend on which event lane finalized first, so serial
+/// and laned runs see the same records in the same order.
+[[nodiscard]] std::vector<const IterationRecord*> take_new_records(
+    const std::vector<std::unique_ptr<PortMonitor>>& monitors, std::vector<std::size_t>& taken);
 
 }  // namespace flowpulse::fp

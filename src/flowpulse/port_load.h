@@ -21,10 +21,17 @@ struct PortLoad {
 /// spine→leaf downstream port in the fabric (virtual spines included).
 class PortLoadMap {
  public:
+  /// 2-level fabric: the rows are the leaves, which are also the senders.
   PortLoadMap(std::uint32_t leaves, std::uint32_t uplinks)
-      : leaves_{leaves},
+      : PortLoadMap{leaves, uplinks, leaves} {}
+
+  /// `rows` monitored switches (leaves() reports this) of `uplinks` ports,
+  /// each port's by_src_leaf sized for `senders` sender leaves — e.g. a
+  /// three-level fabric's pod-spine tier, whose senders are all its leaves.
+  PortLoadMap(std::uint32_t rows, std::uint32_t uplinks, std::uint32_t senders)
+      : leaves_{rows},
         uplinks_{uplinks},
-        loads_(static_cast<std::size_t>(leaves) * uplinks, PortLoad{leaves}) {}
+        loads_(static_cast<std::size_t>(rows) * uplinks, PortLoad{senders}) {}
 
   [[nodiscard]] PortLoad& at(net::LeafId leaf, net::UplinkIndex u) {
     return loads_[static_cast<std::size_t>(leaf.v()) * uplinks_ + u.v()];

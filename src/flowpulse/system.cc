@@ -111,26 +111,7 @@ void FlowPulseSystem::trace_result([[maybe_unused]] const DetectionResult& r) {
 void FlowPulseSystem::flush() {
   for (auto& m : monitors_) m->flush();
   if (deferred_) {
-    // Replay every not-yet-evaluated record in canonical (iteration, leaf)
-    // order: each monitor's history is already iteration-ordered, and the
-    // cross-leaf merge below does not depend on which lane finalized first.
-    replayed_.resize(monitors_.size(), 0);
-    std::vector<const IterationRecord*> pending;
-    for (std::size_t l = 0; l < monitors_.size(); ++l) {
-      const auto& history = monitors_[l]->history();
-      for (std::size_t i = replayed_[l]; i < history.size(); ++i) {
-        pending.push_back(&history[i]);
-      }
-      replayed_[l] = history.size();
-    }
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const IterationRecord* a, const IterationRecord* b) {
-                       if (a->iteration.v() != b->iteration.v()) {
-                         return a->iteration.v() < b->iteration.v();
-                       }
-                       return a->leaf.v() < b->leaf.v();
-                     });
-    for (const IterationRecord* r : pending) on_finalized(*r);
+    for (const IterationRecord* r : take_new_records(monitors_, replayed_)) on_finalized(*r);
   }
 #if FP_AUDIT_ENABLED
   // Monitor-vs-switch reconciliation: each monitor's per-port byte ledger

@@ -6,8 +6,7 @@ namespace flowpulse::fp {
 
 ThreeLevelPrediction ThreeLevelAnalyticalModel::predict(
     const collective::DemandMatrix& demand, const net::RoutingState& routing) const {
-  ThreeLevelPrediction pred{info_.num_leaves(), info_.spines_per_pod, info_.num_pod_spines(),
-                            info_.cores_per_group()};
+  ThreeLevelPrediction pred{info_};
   const std::uint32_t hosts = demand.hosts();
   for (const net::HostId src : core::ids<net::HostId>(hosts)) {
     const net::LeafId src_leaf = info_.leaf_of(src);
@@ -40,40 +39,22 @@ ThreeLevelPrediction ThreeLevelAnalyticalModel::predict(
 
 ThreeLevelFlowPulse::ThreeLevelFlowPulse(net::ThreeLevelFatTree& fabric, double threshold,
                                          std::uint16_t job)
-    : fabric_{fabric}, threshold_{threshold} {
+    : threshold_{threshold} {
   const net::ThreeLevelInfo& info = fabric.info();
   for (const net::LeafId l : core::ids<net::LeafId>(info.num_leaves())) {
-    leaf_monitors_.push_back(std::make_unique<PortMonitor>(
-        l.v(), info.spines_per_pod, info.num_leaves(), info.hosts_per_leaf, job));
-    PortMonitor* mon = leaf_monitors_.back().get();
-    fabric.leaf(l).set_spine_ingress_hook(
-        [mon](net::UplinkIndex u, const net::Packet& p) { mon->record(u, p); });
-    mon->set_finalize_hook([this](const IterationRecord& rec) {
-      // Deferred (sharded-lane) mode: the record already sits in the
-      // monitor's lane-local history; evaluation waits for flush().
-      if (deferred_) return;
-      if (prediction_) {
-        leaf_results_.push_back(evaluate_record(prediction_->leaf_level, threshold_, rec));
-      }
-    });
+    leaf_monitors_.push_back(std::make_unique<PortMonitor>(l, info.leaf_tier(), job));
+    leaf_monitors_.back()->attach(fabric.leaf(l));
   }
   for (std::uint32_t pod = 0; pod < info.pods; ++pod) {
     for (std::uint32_t s = 0; s < info.spines_per_pod; ++s) {
-      const std::uint32_t id = info.pod_spine_id(pod, s);
       spine_monitors_.push_back(std::make_unique<PortMonitor>(
-          id, info.cores_per_group(), info.num_leaves(), info.hosts_per_leaf, job));
+          info.pod_spine_id(pod, s), info.cores_per_group(), info.num_leaves(),
+          info.hosts_per_leaf, job));
       PortMonitor* mon = spine_monitors_.back().get();
       fabric.pod_spine(pod, s).set_core_ingress_hook(
           [mon](std::uint32_t k, const net::Packet& p) {
             mon->record(net::UplinkIndex{k}, p);
           });
-      mon->set_finalize_hook([this](const IterationRecord& rec) {
-        if (deferred_) return;
-        if (prediction_) {
-          spine_results_.push_back(
-              evaluate_record(prediction_->spine_level, threshold_, rec));
-        }
-      });
     }
   }
 }
@@ -85,37 +66,12 @@ void ThreeLevelFlowPulse::set_prediction(ThreeLevelPrediction prediction) {
 void ThreeLevelFlowPulse::flush() {
   for (auto& m : leaf_monitors_) m->flush();
   for (auto& m : spine_monitors_) m->flush();
-  if (deferred_ && prediction_) {
-    replay_tier(leaf_monitors_, replayed_leaf_, prediction_->leaf_level, leaf_results_);
-    replay_tier(spine_monitors_, replayed_spine_, prediction_->spine_level, spine_results_);
+  if (!prediction_) return;
+  for (const IterationRecord* r : take_new_records(leaf_monitors_, judged_leaf_)) {
+    leaf_results_.push_back(evaluate_record(prediction_->leaf_level, threshold_, *r));
   }
-}
-
-void ThreeLevelFlowPulse::replay_tier(
-    const std::vector<std::unique_ptr<PortMonitor>>& monitors,
-    std::vector<std::size_t>& replayed, const PortLoadMap& prediction,
-    std::vector<DetectionResult>& results) {
-  // Canonical (iteration, monitor-row) order: each monitor's history is
-  // already iteration-ordered, and this merge does not depend on which lane
-  // finalized first — serial and laned runs evaluate identically.
-  replayed.resize(monitors.size(), 0);
-  std::vector<const IterationRecord*> pending;
-  for (std::size_t m = 0; m < monitors.size(); ++m) {
-    const auto& history = monitors[m]->history();
-    for (std::size_t i = replayed[m]; i < history.size(); ++i) {
-      pending.push_back(&history[i]);
-    }
-    replayed[m] = history.size();
-  }
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const IterationRecord* a, const IterationRecord* b) {
-                     if (a->iteration.v() != b->iteration.v()) {
-                       return a->iteration.v() < b->iteration.v();
-                     }
-                     return a->leaf.v() < b->leaf.v();
-                   });
-  for (const IterationRecord* r : pending) {
-    results.push_back(evaluate_record(prediction, threshold_, *r));
+  for (const IterationRecord* r : take_new_records(spine_monitors_, judged_spine_)) {
+    spine_results_.push_back(evaluate_record(prediction_->spine_level, threshold_, *r));
   }
 }
 

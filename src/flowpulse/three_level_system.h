@@ -17,12 +17,12 @@ struct ThreeLevelPrediction {
   /// Rows: global leaves; columns: pod-spine index (ingress from spines).
   PortLoadMap leaf_level;
   /// Rows: global pod-spine ids; columns: core index within the group
-  /// (ingress from cores).
+  /// (ingress from cores); senders: every global leaf.
   PortLoadMap spine_level;
 
-  ThreeLevelPrediction(std::uint32_t leaves, std::uint32_t spines_per_pod,
-                       std::uint32_t pod_spines, std::uint32_t cores_per_group)
-      : leaf_level{leaves, spines_per_pod}, spine_level{pod_spines, cores_per_group} {}
+  explicit ThreeLevelPrediction(const net::ThreeLevelInfo& info)
+      : leaf_level{info.num_leaves(), info.spines_per_pod},
+        spine_level{info.num_pod_spines(), info.cores_per_group(), info.num_leaves()} {}
 };
 
 /// Analytical per-link load model extended to 3 levels (paper §7 "Network
@@ -59,6 +59,10 @@ class ThreeLevelAnalyticalModel {
 /// pod-spine watches its ingress-from-core ports (localizes spine↔core
 /// links) — the paper's §7 proposal. Still no coordination: each switch
 /// compares its own counters against its own slice of the prediction.
+///
+/// Monitors only record. flush() judges every record finalized since the
+/// previous flush, per tier in canonical (iteration, row) order, so serial
+/// and laned runs evaluate the same records in the same order.
 class ThreeLevelFlowPulse {
  public:
   ThreeLevelFlowPulse(net::ThreeLevelFatTree& fabric, double threshold,
@@ -66,13 +70,9 @@ class ThreeLevelFlowPulse {
 
   void set_prediction(ThreeLevelPrediction prediction);
 
-  /// Sharded-lane mode: monitors at both tiers finalize on their own lanes,
-  /// so the eager evaluate-and-push in the finalize hooks would race across
-  /// pod lanes. Deferred, hooks only record into each monitor's lane-local
-  /// history; flush() (on the coordinating thread, after the lanes join)
-  /// replays every new record in canonical (iteration, row) order.
-  void set_deferred_evaluation(bool on) { deferred_ = on; }
-
+  /// Finalize every monitor's in-flight iteration, then judge the records
+  /// finalized since the last flush. Without a prediction they wait for a
+  /// later flush.
   void flush();
 
   [[nodiscard]] const std::vector<DetectionResult>& leaf_results() const {
@@ -96,22 +96,16 @@ class ThreeLevelFlowPulse {
 
  private:
   static std::vector<double> max_dev_series(const std::vector<DetectionResult>& results);
-  /// Replay each monitor's not-yet-evaluated history through `evaluate`
-  /// in (iteration, monitor) order; advances `replayed` cursors.
-  void replay_tier(const std::vector<std::unique_ptr<PortMonitor>>& monitors,
-                   std::vector<std::size_t>& replayed, const PortLoadMap& prediction,
-                   std::vector<DetectionResult>& results);
 
-  net::ThreeLevelFatTree& fabric_;
   double threshold_;
   std::vector<std::unique_ptr<PortMonitor>> leaf_monitors_;
   std::vector<std::unique_ptr<PortMonitor>> spine_monitors_;
   std::unique_ptr<ThreeLevelPrediction> prediction_;
   std::vector<DetectionResult> leaf_results_;
   std::vector<DetectionResult> spine_results_;
-  bool deferred_ = false;
-  std::vector<std::size_t> replayed_leaf_;
-  std::vector<std::size_t> replayed_spine_;
+  /// Per-monitor count of history records already judged.
+  std::vector<std::size_t> judged_leaf_;
+  std::vector<std::size_t> judged_spine_;
 };
 
 }  // namespace flowpulse::fp

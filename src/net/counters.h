@@ -21,6 +21,16 @@ struct LinkCounters {
   /// them (paper §1/§3).
   core::Packets telemetry_dropped_packets{};
 
+  /// Field-wise sum (fabric totals).
+  LinkCounters& operator+=(const LinkCounters& other) {
+    tx_packets += other.tx_packets;
+    tx_bytes += other.tx_bytes;
+    dropped_packets += other.dropped_packets;
+    dropped_bytes += other.dropped_bytes;
+    telemetry_dropped_packets += other.telemetry_dropped_packets;
+    return *this;
+  }
+
   [[nodiscard]] core::Packets delivered_packets() const { return tx_packets - dropped_packets; }
   [[nodiscard]] core::Bytes delivered_bytes() const { return tx_bytes - dropped_bytes; }
 };

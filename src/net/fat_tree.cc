@@ -128,23 +128,17 @@ const LinkCounters& FatTree::uplink_counters(LeafId leaf, UplinkIndex u) const {
 
 LinkCounters FatTree::total_fabric_counters() const {
   LinkCounters total{};
-  auto add = [&total](const LinkCounters& c) {
-    total.tx_packets += c.tx_packets;
-    total.tx_bytes += c.tx_bytes;
-    total.dropped_packets += c.dropped_packets;
-    total.dropped_bytes += c.dropped_bytes;
-  };
   const TopologyInfo& shape = config_.shape;
   for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
-    add(hosts_[h.v()]->nic().counters());
+    total += hosts_[h.v()]->nic().counters();
   }
   for (const LeafId l : core::ids<LeafId>(shape.leaves)) {
     for (std::uint32_t i = 0; i < shape.hosts_per_leaf; ++i) {
-      add(leaves_[l.v()]->host_port(i).counters());
+      total += leaves_[l.v()]->host_port(i).counters();
     }
     for (const UplinkIndex u : core::ids<UplinkIndex>(shape.uplinks_per_leaf())) {
-      add(leaves_[l.v()]->uplink(u).counters());
-      add(downlink_counters(l, u));
+      total += leaves_[l.v()]->uplink(u).counters();
+      total += downlink_counters(l, u);
     }
   }
   return total;

@@ -86,7 +86,7 @@ class FatTree {
   /// Counters of the leaf→spine direction.
   [[nodiscard]] const LinkCounters& uplink_counters(LeafId leaf, UplinkIndex u) const;
 
-  /// Sum of tx/dropped over every link in the fabric (conservation tests).
+  /// Sum of every link counter over the whole fabric (conservation tests).
   [[nodiscard]] LinkCounters total_fabric_counters() const;
 
 #if FP_AUDIT_ENABLED

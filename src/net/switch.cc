@@ -235,37 +235,37 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
       return valid[key % valid.size()];
     }
 
-    case SprayPolicy::kAdaptive: {
-      // Least-occupied valid uplink, with round-robin tie-breaking: when a
-      // drained fabric leaves all queues equal, successive packets cycle
-      // through the lanes, giving the near-perfect balance real APS
-      // hardware achieves instead of multinomial sampling noise.
-      auto grade = [this, &p](UplinkIndex u) {
-        return uplink_ports_[u.v()]->queued_bytes_at_or_above(p.priority) / spray_quantum_;
-      };
-      core::Bytes* deficit =
+    case SprayPolicy::kAdaptive:
+      return pick_byte_deficit(
+          uplink_ports_, valid, p, spray_quantum_,
           &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
                         priority_index(p.priority)) *
-                       info_.uplinks_per_leaf()];
-      // Least congestion grade first; among those, least bytes already
-      // carried for this (destination, class); port index as final tiebreak.
-      UplinkIndex pick = valid[0];
-      std::uint64_t best_grade = std::numeric_limits<std::uint64_t>::max();
-      core::Bytes best_deficit{std::numeric_limits<std::uint64_t>::max()};
-      for (const UplinkIndex u : valid) {
-        const std::uint64_t g = grade(u);
-        if (g > best_grade) continue;
-        if (g < best_grade || deficit[u.v()] < best_deficit) {
-          best_grade = g;
-          best_deficit = deficit[u.v()];
-          pick = u;
-        }
-      }
-      deficit[pick.v()] += p.size_bytes;
-      return pick;
-    }
+                       info_.uplinks_per_leaf()]);
   }
   return kNoUplink;
+}
+
+UplinkIndex pick_byte_deficit(const std::vector<std::unique_ptr<EgressPort>>& ports,
+                              const std::vector<UplinkIndex>& candidates, const Packet& p,
+                              core::Bytes quantum, core::Bytes* deficit) {
+  // Least-occupied candidate, with round-robin tie-breaking: when a drained
+  // fabric leaves all queues equal, successive packets cycle through the
+  // lanes, giving the near-perfect balance real APS hardware achieves
+  // instead of multinomial sampling noise.
+  UplinkIndex pick = candidates[0];
+  std::uint64_t best_grade = std::numeric_limits<std::uint64_t>::max();
+  core::Bytes best_deficit{std::numeric_limits<std::uint64_t>::max()};
+  for (const UplinkIndex u : candidates) {
+    const std::uint64_t g = ports[u.v()]->queued_bytes_at_or_above(p.priority) / quantum;
+    if (g > best_grade) continue;
+    if (g < best_grade || deficit[u.v()] < best_deficit) {
+      best_grade = g;
+      best_deficit = deficit[u.v()];
+      pick = u;
+    }
+  }
+  deficit[pick.v()] += p.size_bytes;
+  return pick;
 }
 
 // ---------------------------------------------------------------------------

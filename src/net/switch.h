@@ -82,6 +82,17 @@ class Switch : public Device {
 #endif
 };
 
+/// Congestion-graded byte-deficit spray, shared by the kAdaptive leaf and
+/// the three-level pod-spine. Picks among `candidates` (indices into
+/// `ports`) the least congestion grade, i.e. bytes queued at or above the
+/// packet's class in units of `quantum`; then the least bytes in
+/// `deficit[u]`; then the earliest candidate. Charges the packet's bytes to
+/// the pick's deficit entry.
+[[nodiscard]] UplinkIndex pick_byte_deficit(
+    const std::vector<std::unique_ptr<EgressPort>>& ports,
+    const std::vector<UplinkIndex>& candidates, const Packet& p, core::Bytes quantum,
+    core::Bytes* deficit);
+
 /// Leaf (top-of-rack) switch. Ports [0, hosts_per_leaf) face hosts; port
 /// hosts_per_leaf + u carries uplink u. Upstream traffic is sprayed per
 /// packet across the valid uplinks (APS); downstream traffic is delivered

@@ -1,33 +1,10 @@
 #include "net/three_level.h"
 
 #include <cassert>
-#include <limits>
 #include <string>
 
 namespace flowpulse::net {
 namespace {
-
-/// Congestion-graded, byte-deficit per-packet spray (same discipline as the
-/// 2-level leaf, see LeafSwitch): least congestion grade first, then least
-/// cumulative bytes carried for this (destination, class).
-template <typename Ports>
-UplinkIndex pick_byte_deficit(const Ports& ports, const std::vector<UplinkIndex>& candidates,
-                              const Packet& p, core::Bytes quantum, core::Bytes* deficit) {
-  UplinkIndex pick = candidates[0];
-  std::uint64_t best_grade = std::numeric_limits<std::uint64_t>::max();
-  core::Bytes best_deficit{std::numeric_limits<std::uint64_t>::max()};
-  for (const UplinkIndex u : candidates) {
-    const std::uint64_t g = ports[u.v()]->queued_bytes_at_or_above(p.priority) / quantum;
-    if (g > best_grade) continue;
-    if (g < best_grade || deficit[u.v()] < best_deficit) {
-      best_grade = g;
-      best_deficit = deficit[u.v()];
-      pick = u;
-    }
-  }
-  deficit[pick.v()] += p.size_bytes;
-  return pick;
-}
 
 std::vector<UplinkIndex> iota_candidates(std::uint32_t n) {
   std::vector<UplinkIndex> v;
@@ -37,71 +14,6 @@ std::vector<UplinkIndex> iota_candidates(std::uint32_t n) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Leaf3Switch
-// ---------------------------------------------------------------------------
-
-Leaf3Switch::Leaf3Switch(sim::Simulator& simulator, LeafId id, const ThreeLevelInfo& info,
-                         const RoutingState& leaf_spine_routing, PfcConfig pfc,
-                         LinkParams host_link, LinkParams fabric_link,
-                         core::Bytes spray_quantum)
-    : Switch{simulator, "leaf3_" + std::to_string(id.v()),
-             info.hosts_per_leaf + info.spines_per_pod, pfc},
-      id_{id},
-      info_{info},
-      routing_{leaf_spine_routing},
-      spray_quantum_{spray_quantum.v() == 0 ? core::Bytes{1} : spray_quantum},
-      sent_bytes_(static_cast<std::size_t>(info.num_leaves()) * kNumPriorities *
-                      info.spines_per_pod,
-                  core::Bytes{}) {
-  for (std::uint32_t h = 0; h < info.hosts_per_leaf; ++h) {
-    host_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, host_link, name() + ".down" + std::to_string(h)));
-    hook_depart(*host_ports_.back());
-  }
-  for (std::uint32_t s = 0; s < info.spines_per_pod; ++s) {
-    uplink_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, fabric_link, name() + ".up" + std::to_string(s)));
-    hook_depart(*uplink_ports_.back());
-  }
-}
-
-void Leaf3Switch::set_fault_rng(sim::Rng* rng) {
-  for (auto& p : host_ports_) p->set_fault_rng(rng);
-  for (auto& p : uplink_ports_) p->set_fault_rng(rng);
-}
-
-void Leaf3Switch::receive(Packet p, PortIndex in_port) {
-  pfc_on_arrival(p, in_port);
-  if (hook_ && in_port.v() >= info_.hosts_per_leaf) {
-    hook_(UplinkIndex{in_port.v() - info_.hosts_per_leaf}, p);
-  }
-
-  const LeafId dst_leaf = info_.leaf_of(p.dst);
-  EgressPort* out = nullptr;
-  if (dst_leaf == id_) {
-    out = host_ports_[p.dst.v() % info_.hosts_per_leaf].get();
-  } else {
-    const auto& valid = routing_.valid_uplinks(id_, dst_leaf);
-    if (valid.empty()) {
-      ++counters_.no_route_drops;
-      p.pfc_ingress = in_port;
-      pfc_on_depart(p);
-      return;
-    }
-    core::Bytes* deficit =
-        &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
-                      priority_index(p.priority)) *
-                     info_.spines_per_pod];
-    out = uplink_ports_[pick_byte_deficit(uplink_ports_, valid, p, spray_quantum_, deficit)
-                            .v()]
-              .get();
-  }
-  ++counters_.forwarded_packets;
-  p.pfc_ingress = in_port;
-  out->enqueue(p);
-}
 
 // ---------------------------------------------------------------------------
 // PodSpineSwitch
@@ -167,36 +79,6 @@ void PodSpineSwitch::receive(Packet p, PortIndex in_port) {
 }
 
 // ---------------------------------------------------------------------------
-// CoreSwitch
-// ---------------------------------------------------------------------------
-
-CoreSwitch::CoreSwitch(sim::Simulator& simulator, std::uint32_t group, std::uint32_t k,
-                       const ThreeLevelInfo& info, PfcConfig pfc, LinkParams fabric_link)
-    : Switch{simulator, "core" + std::to_string(group) + "_" + std::to_string(k), info.pods,
-             pfc},
-      group_{group},
-      k_{k},
-      info_{info} {
-  for (std::uint32_t pod = 0; pod < info.pods; ++pod) {
-    down_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, fabric_link, name() + ".down" + std::to_string(pod)));
-    hook_depart(*down_ports_.back());
-  }
-}
-
-void CoreSwitch::set_fault_rng(sim::Rng* rng) {
-  for (auto& p : down_ports_) p->set_fault_rng(rng);
-}
-
-void CoreSwitch::receive(Packet p, PortIndex in_port) {
-  pfc_on_arrival(p, in_port);
-  const std::uint32_t dst_pod = info_.pod_of_leaf(info_.leaf_of(p.dst));
-  ++counters_.forwarded_packets;
-  p.pfc_ingress = in_port;
-  down_ports_[dst_pod]->enqueue(p);
-}
-
-// ---------------------------------------------------------------------------
 // ThreeLevelFatTree
 // ---------------------------------------------------------------------------
 
@@ -206,7 +88,9 @@ ThreeLevelFatTree::ThreeLevelFatTree(sim::Simulator& simulator, ThreeLevelConfig
 ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLevelConfig config)
     : sim_{*lanes.front()},
       config_{config},
-      routing_{config.shape.num_leaves(), config.shape.spines_per_pod},
+      leaf_tier_{config.shape.leaf_tier()},
+      core_tier_{config.shape.core_tier()},
+      routing_{leaf_tier_.leaves, leaf_tier_.uplinks_per_leaf()},
       fault_rng_{config.seed ^ 0x3fa017ull},
       lanes_{std::move(lanes)} {
   const ThreeLevelInfo& shape = config_.shape;
@@ -215,9 +99,11 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
     hosts_.push_back(std::make_unique<Host>(sim_, h, config_.host_link));
   }
   for (const LeafId l : core::ids<LeafId>(shape.num_leaves())) {
-    leaves_.push_back(std::make_unique<Leaf3Switch>(
-        lane_for_pod(shape.pod_of_leaf(l)), l, config_.shape, routing_, config_.pfc,
-        config_.host_link, config_.fabric_link, config_.spray_quantum_bytes));
+    // kAdaptive never draws from its spray RNG.
+    leaves_.push_back(std::make_unique<LeafSwitch>(
+        lane_for_pod(shape.pod_of_leaf(l)), l, leaf_tier_, routing_, SprayPolicy::kAdaptive,
+        config_.pfc, config_.host_link, config_.fabric_link, sim::Rng{config_.seed},
+        config_.spray_quantum_bytes));
   }
   for (std::uint32_t pod = 0; pod < shape.pods; ++pod) {
     for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
@@ -226,18 +112,15 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
           config_.spray_quantum_bytes));
     }
   }
-  for (std::uint32_t group = 0; group < shape.spines_per_pod; ++group) {
-    for (std::uint32_t k = 0; k < shape.cores_per_group(); ++k) {
-      cores_.push_back(std::make_unique<CoreSwitch>(lane_for_core(shape.core_id(group, k)),
-                                                    group, k, config_.shape, config_.pfc,
-                                                    config_.fabric_link));
-    }
+  for (const SpineId c : core::ids<SpineId>(shape.num_cores())) {
+    cores_.push_back(std::make_unique<SpineSwitch>(lane_for_core(c.v()), c, core_tier_,
+                                                   config_.pfc, config_.fabric_link));
   }
 
   // Hosts ↔ leaves.
   for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
     const LeafId l = shape.leaf_of(h);
-    const std::uint32_t local = h.v() % shape.hosts_per_leaf;
+    const std::uint32_t local = leaf_tier_.local_index(h);
     hosts_[h.v()]->nic().connect(leaves_[l.v()].get(), PortIndex{local});
     leaves_[l.v()]->set_upstream(PortIndex{local}, &hosts_[h.v()]->nic());
     leaves_[l.v()]->host_port(local).connect(hosts_[h.v()].get(), PortIndex{0});
@@ -250,30 +133,32 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
   for (const LeafId l : core::ids<LeafId>(shape.num_leaves())) {
     const std::uint32_t pod = shape.pod_of_leaf(l);
     const std::uint32_t local = shape.local_leaf(l);
-    for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
-      PodSpineSwitch& ps = *pod_spines_[shape.pod_spine_id(pod, s)];
-      const PortIndex leaf_port{shape.hosts_per_leaf + s};
-      leaves_[l.v()]->uplink(s).connect(&ps, PortIndex{local});
-      ps.set_upstream(PortIndex{local}, &leaves_[l.v()]->uplink(s));
-      ps.down_port(local).connect(leaves_[l.v()].get(), leaf_port);
-      leaves_[l.v()]->set_upstream(leaf_port, &ps.down_port(local));
+    LeafSwitch& leaf_sw = *leaves_[l.v()];
+    for (const UplinkIndex u : core::ids<UplinkIndex>(shape.spines_per_pod)) {
+      PodSpineSwitch& ps = *pod_spines_[shape.pod_spine_id(pod, u.v())];
+      const PortIndex leaf_port = leaf_tier_.leaf_uplink_port(u);
+      leaf_sw.uplink(u).connect(&ps, PortIndex{local});
+      ps.set_upstream(PortIndex{local}, &leaf_sw.uplink(u));
+      ps.down_port(local).connect(&leaf_sw, leaf_port);
+      leaf_sw.set_upstream(leaf_port, &ps.down_port(local));
     }
-    leaves_[l.v()]->set_fault_rng(&fault_rng_);
+    leaf_sw.set_fault_rng(&fault_rng_);
   }
 
-  // Pod-spines ↔ cores.
+  // Pod-spines ↔ cores: pod p is the core tier's leaf p.
   for (std::uint32_t pod = 0; pod < shape.pods; ++pod) {
+    const PortIndex core_port{pod};
     for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
       PodSpineSwitch& ps = *pod_spines_[shape.pod_spine_id(pod, s)];
       for (std::uint32_t k = 0; k < shape.cores_per_group(); ++k) {
-        CoreSwitch& c = *cores_[shape.core_id(s, k)];
+        SpineSwitch& c = *cores_[shape.core_id(s, k)];
         const PortIndex ps_port{shape.leaves_per_pod + k};
-        ps.core_uplink(k).connect(&c, PortIndex{pod});
-        c.set_upstream(PortIndex{pod}, &ps.core_uplink(k));
-        c.down_port(pod).connect(&ps, ps_port);
-        ps.set_upstream(ps_port, &c.down_port(pod));
+        ps.core_uplink(k).connect(&c, core_port);
+        c.set_upstream(core_port, &ps.core_uplink(k));
+        c.down_port(core_port).connect(&ps, ps_port);
+        ps.set_upstream(ps_port, &c.down_port(core_port));
         link_lanes(ps.core_uplink(k), lane_for_core(shape.core_id(s, k)));
-        link_lanes(c.down_port(pod), lane_for_pod(pod));
+        link_lanes(c.down_port(core_port), lane_for_pod(pod));
       }
       ps.set_fault_rng(&fault_rng_);
     }
@@ -309,7 +194,7 @@ void ThreeLevelFatTree::disconnect_known(LeafId leaf, std::uint32_t spine_index)
 void ThreeLevelFatTree::set_leaf_link_fault(LeafId leaf, std::uint32_t spine_index,
                                             FaultSpec fault) {
   const ThreeLevelInfo& shape = config_.shape;
-  leaves_[leaf.v()]->uplink(spine_index).set_fault(fault);
+  leaves_[leaf.v()]->uplink(UplinkIndex{spine_index}).set_fault(fault);
   PodSpineSwitch& ps = *pod_spines_[shape.pod_spine_id(shape.pod_of_leaf(leaf), spine_index)];
   ps.down_port(shape.local_leaf(leaf)).set_fault(fault);
 }
@@ -322,35 +207,31 @@ void ThreeLevelFatTree::set_core_link_fault(std::uint32_t pod, std::uint32_t spi
 
 void ThreeLevelFatTree::set_core_downlink_fault(std::uint32_t pod, std::uint32_t spine_index,
                                                 std::uint32_t k, FaultSpec fault) {
-  cores_[config_.shape.core_id(spine_index, k)]->down_port(pod).set_fault(fault);
+  cores_[config_.shape.core_id(spine_index, k)]->down_port(PortIndex{pod}).set_fault(fault);
 }
 
 LinkCounters ThreeLevelFatTree::total_fabric_counters() const {
   LinkCounters total{};
-  auto add = [&total](const LinkCounters& c) {
-    total.tx_packets += c.tx_packets;
-    total.tx_bytes += c.tx_bytes;
-    total.dropped_packets += c.dropped_packets;
-    total.dropped_bytes += c.dropped_bytes;
-  };
   const ThreeLevelInfo& shape = config_.shape;
-  for (const auto& h : hosts_) add(h->nic().counters());
-  for (const LeafId l : core::ids<LeafId>(shape.num_leaves())) {
+  for (const auto& h : hosts_) total += h->nic().counters();
+  for (const auto& leaf : leaves_) {
     for (std::uint32_t i = 0; i < shape.hosts_per_leaf; ++i) {
-      add(leaves_[l.v()]->host_port(i).counters());
+      total += leaf->host_port(i).counters();
     }
-    for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
-      add(leaves_[l.v()]->uplink(s).counters());
+    for (const UplinkIndex u : core::ids<UplinkIndex>(shape.spines_per_pod)) {
+      total += leaf->uplink(u).counters();
     }
   }
   for (const auto& ps : pod_spines_) {
-    for (std::uint32_t l = 0; l < shape.leaves_per_pod; ++l) add(ps->down_port(l).counters());
+    for (std::uint32_t l = 0; l < shape.leaves_per_pod; ++l) total += ps->down_port(l).counters();
     for (std::uint32_t k = 0; k < shape.cores_per_group(); ++k) {
-      add(ps->core_uplink(k).counters());
+      total += ps->core_uplink(k).counters();
     }
   }
   for (const auto& c : cores_) {
-    for (std::uint32_t pod = 0; pod < shape.pods; ++pod) add(c->down_port(pod).counters());
+    for (const PortIndex pod : core::ids<PortIndex>(shape.pods)) {
+      total += c->down_port(pod).counters();
+    }
   }
   return total;
 }

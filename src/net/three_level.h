@@ -10,6 +10,7 @@
 #include "net/host.h"
 #include "net/routing.h"
 #include "net/switch.h"
+#include "net/topology_info.h"
 #include "net/types.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -59,38 +60,17 @@ struct ThreeLevelInfo {
   [[nodiscard]] constexpr std::uint32_t core_id(std::uint32_t group, std::uint32_t k) const {
     return group * cores_per_group() + k;
   }
-};
 
-class ThreeLevelFatTree;
-
-/// Leaf switch of the 3-level fabric: hosts below, one uplink per pod-spine
-/// of its pod. Upstream spraying uses the same congestion-graded,
-/// byte-deficit APS as the 2-level leaf.
-class Leaf3Switch final : public Switch {
- public:
-  using IngressHook = std::function<void(UplinkIndex, const Packet&)>;
-
-  Leaf3Switch(sim::Simulator& simulator, LeafId id, const ThreeLevelInfo& info,
-              const RoutingState& leaf_spine_routing, PfcConfig pfc, LinkParams host_link,
-              LinkParams fabric_link, core::Bytes spray_quantum);
-
-  void receive(Packet p, PortIndex in_port) override;
-
-  [[nodiscard]] EgressPort& host_port(std::uint32_t local) { return *host_ports_[local]; }
-  [[nodiscard]] EgressPort& uplink(std::uint32_t s) { return *uplink_ports_[s]; }
-  void set_spine_ingress_hook(IngressHook hook) { hook_ = std::move(hook); }
-  void set_fault_rng(sim::Rng* rng);
-  [[nodiscard]] LeafId id() const { return id_; }
-
- private:
-  LeafId id_;
-  const ThreeLevelInfo& info_;
-  const RoutingState& routing_;  // (global leaf, pod-spine index) known failures
-  core::Bytes spray_quantum_;
-  std::vector<std::unique_ptr<EgressPort>> host_ports_;
-  std::vector<std::unique_ptr<EgressPort>> uplink_ports_;
-  std::vector<core::Bytes> sent_bytes_;  // [dst_leaf * prios + prio][spine]
-  IngressHook hook_;
+  /// The leaf tier as a 2-level fat tree: every leaf, with uplink s going
+  /// to pod-spine index s of its own pod.
+  [[nodiscard]] constexpr TopologyInfo leaf_tier() const {
+    return {num_leaves(), spines_per_pod, hosts_per_leaf, 1};
+  }
+  /// The core tier as a 2-level fat tree whose "leaves" are pods: a core is
+  /// its spine, and leaf_of(host) names the host's pod.
+  [[nodiscard]] constexpr TopologyInfo core_tier() const {
+    return {pods, num_cores(), leaves_per_pod * hosts_per_leaf, 1};
+  }
 };
 
 /// Pod-spine (aggregation) switch: one downlink per leaf of its pod, one
@@ -137,24 +117,6 @@ class PodSpineSwitch final : public Switch {
   IngressHook hook_;
 };
 
-/// Core switch of group `group`: one bidirectional port per pod.
-class CoreSwitch final : public Switch {
- public:
-  CoreSwitch(sim::Simulator& simulator, std::uint32_t group, std::uint32_t k,
-             const ThreeLevelInfo& info, PfcConfig pfc, LinkParams fabric_link);
-
-  void receive(Packet p, PortIndex in_port) override;
-
-  [[nodiscard]] EgressPort& down_port(std::uint32_t pod) { return *down_ports_[pod]; }
-  void set_fault_rng(sim::Rng* rng);
-
- private:
-  std::uint32_t group_;
-  std::uint32_t k_;
-  const ThreeLevelInfo& info_;
-  std::vector<std::unique_ptr<EgressPort>> down_ports_;  // per pod
-};
-
 struct ThreeLevelConfig {
   ThreeLevelInfo shape{};
   LinkParams host_link{core::GbitsPerSec{400.0}, sim::Time::nanoseconds(200)};
@@ -164,7 +126,11 @@ struct ThreeLevelConfig {
   std::uint64_t seed = 0x5eed;
 };
 
-/// The full 3-level fabric. Fault injection covers both tiers:
+/// The full 3-level fabric, built from the 2-level switch classes: each
+/// leaf is a kAdaptive LeafSwitch over info().leaf_tier(), and each core is
+/// a SpineSwitch over info().core_tier(), so a core's down port p leads to
+/// pod p. Only the pod-spine has a class of its own. Fault injection covers
+/// both tiers:
 ///  * leaf↔pod-spine links — disconnect_known() removes the pod-spine
 ///    *index* from routing for that leaf (which transitively removes the
 ///    core group for paths through it), mirroring the 2-level semantics;
@@ -189,11 +155,11 @@ class ThreeLevelFatTree {
 
   [[nodiscard]] const ThreeLevelInfo& info() const { return config_.shape; }
   [[nodiscard]] Host& host(HostId h) { return *hosts_[h.v()]; }
-  [[nodiscard]] Leaf3Switch& leaf(LeafId l) { return *leaves_[l.v()]; }
+  [[nodiscard]] LeafSwitch& leaf(LeafId l) { return *leaves_[l.v()]; }
   [[nodiscard]] PodSpineSwitch& pod_spine(std::uint32_t pod, std::uint32_t s) {
     return *pod_spines_[config_.shape.pod_spine_id(pod, s)];
   }
-  [[nodiscard]] CoreSwitch& core(std::uint32_t group, std::uint32_t k) {
+  [[nodiscard]] SpineSwitch& core(std::uint32_t group, std::uint32_t k) {
     return *cores_[config_.shape.core_id(group, k)];
   }
   [[nodiscard]] std::uint32_t num_hosts() const { return config_.shape.num_hosts(); }
@@ -223,14 +189,17 @@ class ThreeLevelFatTree {
 
   sim::Simulator& sim_;
   ThreeLevelConfig config_;
+  // Tier-local shapes the leaf and core switches keep references to.
+  TopologyInfo leaf_tier_;
+  TopologyInfo core_tier_;
   RoutingState routing_;  // (global leaf, pod-spine index)
   sim::Rng fault_rng_;
   std::vector<sim::Simulator*> lanes_;
   sim::Time min_cross_lane_latency_ = sim::Time::max();
   std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<Leaf3Switch>> leaves_;
+  std::vector<std::unique_ptr<LeafSwitch>> leaves_;
   std::vector<std::unique_ptr<PodSpineSwitch>> pod_spines_;
-  std::vector<std::unique_ptr<CoreSwitch>> cores_;
+  std::vector<std::unique_ptr<SpineSwitch>> cores_;
 };
 
 }  // namespace flowpulse::net

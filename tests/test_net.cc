@@ -550,6 +550,9 @@ TEST(FatTree, ByteConservationWithDrops) {
   Simulator sim{1};
   FatTree net{sim, small_config()};
   net.set_link_fault(LeafId{0}, UplinkIndex{1}, FaultSpec::random_drop(0.3));
+  // A dead (not routed-around) downlink: its drops are the only ones the
+  // switch counters can see.
+  net.set_downlink_fault(LeafId{3}, UplinkIndex{0}, FaultSpec::disconnect());
   net.host(HostId{6}).set_rx_handler([](const Packet&) {});
   for (int i = 0; i < 500; ++i) {
     Packet p = make_packet(1000);
@@ -562,6 +565,9 @@ TEST(FatTree, ByteConservationWithDrops) {
   EXPECT_EQ(total.tx_packets, total.dropped_packets + total.delivered_packets());
   EXPECT_EQ(total.tx_bytes, total.dropped_bytes + total.delivered_bytes());
   EXPECT_GT(total.dropped_packets, core::Packets{0});
+  const core::Packets dead = net.downlink_counters(LeafId{3}, UplinkIndex{0}).dropped_packets;
+  EXPECT_GT(dead, core::Packets{0});
+  EXPECT_EQ(total.telemetry_dropped_packets, dead);
 }
 
 TEST(FatTree, ParallelLinksKeepLaneAcrossSpine) {

@@ -3,6 +3,7 @@
 // and pod-spine levels.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "collective/runner.h"
@@ -81,7 +82,8 @@ TEST(ThreeLevel, SamePodTrafficNeverTouchesCores) {
   for (std::uint32_t g = 0; g < 2; ++g) {
     for (std::uint32_t k = 0; k < 2; ++k) {
       for (std::uint32_t pod = 0; pod < 2; ++pod) {
-        EXPECT_EQ(rig.net.core(g, k).down_port(pod).counters().tx_packets, core::Packets{0});
+        EXPECT_EQ(rig.net.core(g, k).down_port(PortIndex{pod}).counters().tx_packets,
+                  core::Packets{0});
       }
     }
   }
@@ -107,6 +109,9 @@ TEST(ThreeLevel, CrossPodTrafficSpreadsOverSpinesAndCores) {
 TEST(ThreeLevel, ByteConservation) {
   Rig3 rig{{2, 2, 2, 2}, 5};
   rig.net.set_core_link_fault(0, 1, 0, FaultSpec::random_drop(0.2));
+  // A dead (not routed-around) uplink: its drops are the only ones the
+  // switch counters can see.
+  rig.net.set_leaf_link_fault(LeafId{1}, 0, FaultSpec::disconnect());
   int got = 0;
   for (const HostId h : core::ids<HostId>(8)) {
     rig.net.host(h).set_rx_handler([&](const Packet&) { ++got; });
@@ -119,6 +124,10 @@ TEST(ThreeLevel, ByteConservation) {
   const LinkCounters total = rig.net.total_fabric_counters();
   EXPECT_EQ(total.tx_packets, total.dropped_packets + total.delivered_packets());
   EXPECT_GT(total.dropped_packets, core::Packets{0});
+  const core::Packets dead =
+      rig.net.leaf(LeafId{1}).uplink(UplinkIndex{0}).counters().dropped_packets;
+  EXPECT_GT(dead, core::Packets{0});
+  EXPECT_EQ(total.telemetry_dropped_packets, dead);
 }
 
 TEST(ThreeLevel, KnownDisconnectAvoidedEndToEnd) {
@@ -133,9 +142,11 @@ TEST(ThreeLevel, KnownDisconnectAvoidedEndToEnd) {
   }
   rig.sim.run();
   EXPECT_EQ(got, 100);
-  EXPECT_EQ(rig.net.leaf(LeafId{0}).uplink(0).counters().tx_packets, core::Packets{0});
+  EXPECT_EQ(rig.net.leaf(LeafId{0}).uplink(UplinkIndex{0}).counters().tx_packets,
+            core::Packets{0});
   for (std::uint32_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(rig.net.core(0, k).down_port(1).counters().tx_packets, core::Packets{0});
+    EXPECT_EQ(rig.net.core(0, k).down_port(PortIndex{1}).counters().tx_packets,
+              core::Packets{0});
   }
 }
 
@@ -229,6 +240,46 @@ TEST(ThreeLevelFlowPulse, CoreLinkFaultLocalizedAtSpineTier) {
     spine_max = std::max(spine_max, d);
   }
   EXPECT_GT(spine_max, leaf_max);
+}
+
+// Shapes whose pod-spine count differs from their leaf count. The spine
+// tier's per-sender breakdown must still hold one entry per leaf: sized per
+// pod-spine, the model wrote past it and localization read past it.
+constexpr std::array<ThreeLevelInfo, 4> kUnequalTierShapes{
+    ThreeLevelInfo{2, 4, 2, 1}, ThreeLevelInfo{2, 2, 4, 1}, ThreeLevelInfo{3, 4, 2, 1},
+    ThreeLevelInfo{3, 2, 4, 1}};
+
+TEST(ThreeLevelFlowPulse, UnequalTiersCleanRunQuiet) {
+  for (const ThreeLevelInfo& shape : kUnequalTierShapes) {
+    SCOPED_TRACE(testing::Message() << shape.pods << "x" << shape.leaves_per_pod << "x"
+                                    << shape.spines_per_pod);
+    FullRig3 rig{shape, 8ull << 20, 3};
+    rig.run();
+    EXPECT_TRUE(rig.runner->finished());
+    for (const double dev : rig.fps.leaf_iteration_max_dev()) EXPECT_LT(dev, 0.01);
+    for (const double dev : rig.fps.spine_iteration_max_dev()) EXPECT_LT(dev, 0.01);
+  }
+}
+
+TEST(ThreeLevelFlowPulse, UnequalTiersCoreFaultLocalizedAtSpineTier) {
+  for (const ThreeLevelInfo& shape : kUnequalTierShapes) {
+    SCOPED_TRACE(testing::Message() << shape.pods << "x" << shape.leaves_per_pod << "x"
+                                    << shape.spines_per_pod);
+    FullRig3 rig{shape, 16ull << 20, 3};
+    rig.net.set_core_link_fault(/*pod=*/1, /*spine=*/0, /*k=*/1, FaultSpec::random_drop(0.08));
+    rig.run();
+    const std::uint32_t row = rig.net.info().pod_spine_id(1, 0);
+    bool localized = false;
+    for (const auto& r : rig.fps.faulty_spine_results()) {
+      for (const auto& a : r.alerts) {
+        if (r.leaf.v() == row && a.uplink == UplinkIndex{1} && a.observed < a.predicted &&
+            a.localization.verdict == fp::Localization::Verdict::kLocalLink) {
+          localized = true;
+        }
+      }
+    }
+    EXPECT_TRUE(localized);
+  }
 }
 
 // The 1k golden (test_lanes.cc) injects only black holes, which never draw
