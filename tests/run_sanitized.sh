@@ -5,8 +5,9 @@
 #   $ tests/run_sanitized.sh [mode] [extra ctest args...]
 #
 # Modes:
-#   asan   (default) AddressSanitizer + UBSan in build-asan/. Any leak,
-#          overflow, or UB aborts the run.
+#   asan   (default) AddressSanitizer + UBSan + range-checked libstdc++
+#          containers (_GLIBCXX_ASSERTIONS) in build-asan/. Any leak,
+#          overflow, out-of-range index, or UB aborts the run.
 #   tsan   ThreadSanitizer in build-tsan/. After the full suite, reruns the
 #          parallel trial-engine tests with FLOWPULSE_JOBS=8 so the
 #          worker-pool merge paths race-check under real contention, then
