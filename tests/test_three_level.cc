@@ -188,12 +188,27 @@ struct FullRig3 {
   std::unique_ptr<collective::CollectiveRunner> runner;
 };
 
+// {4, 2, 2, 1} has as many pod-spines as leaves; the other shapes do not.
+// The spine tier's per-sender breakdown must still hold one entry per leaf:
+// sized per pod-spine, the model wrote past it and localization read past it.
+constexpr std::array<ThreeLevelInfo, 5> kTierShapes{
+    ThreeLevelInfo{4, 2, 2, 1}, ThreeLevelInfo{2, 4, 2, 1}, ThreeLevelInfo{2, 2, 4, 1},
+    ThreeLevelInfo{3, 4, 2, 1}, ThreeLevelInfo{3, 2, 4, 1}};
+
+::testing::Message shape_name(const ThreeLevelInfo& shape) {
+  return ::testing::Message() << shape.pods << "x" << shape.leaves_per_pod << "x"
+                              << shape.spines_per_pod;
+}
+
 TEST(ThreeLevelFlowPulse, CleanRunQuietAtBothTiers) {
-  FullRig3 rig{{4, 2, 2, 1}, 8ull << 20, 3};
-  rig.run();
-  EXPECT_TRUE(rig.runner->finished());
-  for (const double dev : rig.fps.leaf_iteration_max_dev()) EXPECT_LT(dev, 0.01);
-  for (const double dev : rig.fps.spine_iteration_max_dev()) EXPECT_LT(dev, 0.01);
+  for (const ThreeLevelInfo& shape : kTierShapes) {
+    SCOPED_TRACE(shape_name(shape));
+    FullRig3 rig{shape, 8ull << 20, 3};
+    rig.run();
+    EXPECT_TRUE(rig.runner->finished());
+    for (const double dev : rig.fps.leaf_iteration_max_dev()) EXPECT_LT(dev, 0.01);
+    for (const double dev : rig.fps.spine_iteration_max_dev()) EXPECT_LT(dev, 0.01);
+  }
 }
 
 TEST(ThreeLevelFlowPulse, LeafLinkFaultSeenAtLeafTier) {
@@ -217,68 +232,33 @@ TEST(ThreeLevelFlowPulse, CoreLinkFaultLocalizedAtSpineTier) {
   // rate on the corresponding core port, while each leaf port only sees it
   // diluted by 1/cores_per_group — spine-tier monitoring is what makes core
   // links localizable (the paper's §7 argument for two-level deployment).
-  FullRig3 rig{{4, 2, 2, 1}, 16ull << 20, 3};
-  rig.net.set_core_link_fault(/*pod=*/1, /*spine=*/0, /*k=*/1,
-                              FaultSpec::random_drop(0.08));
-  rig.run();
-  bool spine_found = false;
-  for (const auto& r : rig.fps.faulty_spine_results()) {
-    for (const auto& a : r.alerts) {
-      // pod-spine id 2 = pod 1, index 0; port 1 = core k=1.
-      if (r.leaf.v() == rig.net.info().pod_spine_id(1, 0) && a.uplink == UplinkIndex{1} &&
-          a.observed < a.predicted) {
-        spine_found = true;
-      }
-    }
-  }
-  EXPECT_TRUE(spine_found);
-
-  // The spine tier's deviation must dominate the leaf tier's diluted view.
-  double leaf_max = 0.0, spine_max = 0.0;
-  for (const double d : rig.fps.leaf_iteration_max_dev()) leaf_max = std::max(leaf_max, d);
-  for (const double d : rig.fps.spine_iteration_max_dev()) {
-    spine_max = std::max(spine_max, d);
-  }
-  EXPECT_GT(spine_max, leaf_max);
-}
-
-// Shapes whose pod-spine count differs from their leaf count. The spine
-// tier's per-sender breakdown must still hold one entry per leaf: sized per
-// pod-spine, the model wrote past it and localization read past it.
-constexpr std::array<ThreeLevelInfo, 4> kUnequalTierShapes{
-    ThreeLevelInfo{2, 4, 2, 1}, ThreeLevelInfo{2, 2, 4, 1}, ThreeLevelInfo{3, 4, 2, 1},
-    ThreeLevelInfo{3, 2, 4, 1}};
-
-TEST(ThreeLevelFlowPulse, UnequalTiersCleanRunQuiet) {
-  for (const ThreeLevelInfo& shape : kUnequalTierShapes) {
-    SCOPED_TRACE(testing::Message() << shape.pods << "x" << shape.leaves_per_pod << "x"
-                                    << shape.spines_per_pod);
-    FullRig3 rig{shape, 8ull << 20, 3};
-    rig.run();
-    EXPECT_TRUE(rig.runner->finished());
-    for (const double dev : rig.fps.leaf_iteration_max_dev()) EXPECT_LT(dev, 0.01);
-    for (const double dev : rig.fps.spine_iteration_max_dev()) EXPECT_LT(dev, 0.01);
-  }
-}
-
-TEST(ThreeLevelFlowPulse, UnequalTiersCoreFaultLocalizedAtSpineTier) {
-  for (const ThreeLevelInfo& shape : kUnequalTierShapes) {
-    SCOPED_TRACE(testing::Message() << shape.pods << "x" << shape.leaves_per_pod << "x"
-                                    << shape.spines_per_pod);
+  for (const ThreeLevelInfo& shape : kTierShapes) {
+    SCOPED_TRACE(shape_name(shape));
     FullRig3 rig{shape, 16ull << 20, 3};
-    rig.net.set_core_link_fault(/*pod=*/1, /*spine=*/0, /*k=*/1, FaultSpec::random_drop(0.08));
+    rig.net.set_core_link_fault(/*pod=*/1, /*spine=*/0, /*k=*/1,
+                                FaultSpec::random_drop(0.08));
     rig.run();
-    const std::uint32_t row = rig.net.info().pod_spine_id(1, 0);
-    bool localized = false;
+    bool spine_found = false;
     for (const auto& r : rig.fps.faulty_spine_results()) {
       for (const auto& a : r.alerts) {
-        if (r.leaf.v() == row && a.uplink == UplinkIndex{1} && a.observed < a.predicted &&
+        // Row = pod 1's pod-spine 0; port 1 = core k=1. Every sender is
+        // short there, so localization blames that very link.
+        if (r.leaf.v() == rig.net.info().pod_spine_id(1, 0) && a.uplink == UplinkIndex{1} &&
+            a.observed < a.predicted &&
             a.localization.verdict == fp::Localization::Verdict::kLocalLink) {
-          localized = true;
+          spine_found = true;
         }
       }
     }
-    EXPECT_TRUE(localized);
+    EXPECT_TRUE(spine_found);
+
+    // The spine tier's deviation must dominate the leaf tier's diluted view.
+    double leaf_max = 0.0, spine_max = 0.0;
+    for (const double d : rig.fps.leaf_iteration_max_dev()) leaf_max = std::max(leaf_max, d);
+    for (const double d : rig.fps.spine_iteration_max_dev()) {
+      spine_max = std::max(spine_max, d);
+    }
+    EXPECT_GT(spine_max, leaf_max);
   }
 }
 
