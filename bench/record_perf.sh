@@ -43,7 +43,7 @@ cmake --build "$BUILD" --target perf_micro -j >/dev/null
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 "$BUILD/bench/perf_micro" \
-  --benchmark_filter='BM_EventQueueScheduleRun|BM_RingIterationSimulation|BM_LanedEvents|BM_TrialSweep|BM_FidelityModeIterations|BM_DaemonIngestCounters' \
+  --benchmark_filter='BM_EventQueueScheduleRun|BM_EventQueueHopPattern|BM_RingIterationSimulation|BM_LanedEvents|BM_TrialSweep|BM_FidelityModeIterations|BM_DaemonIngestCounters' \
   --benchmark_out="$TMP" --benchmark_out_format=json \
   --benchmark_min_time=0.5
 

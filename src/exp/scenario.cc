@@ -75,19 +75,6 @@ Scenario::~Scenario() = default;
 void Scenario::build() {
   config_.fabric.seed = config_.seed;
   sim_ = std::make_unique<sim::Simulator>(config_.seed);
-  // Pre-size the event heap from the expected packet population. The
-  // steady-state pending set is bounded by transport windows, not total
-  // packet count: each in-flight segment holds at most an RTO timer plus a
-  // serialization and a propagation event, and earns an ACK with the same
-  // footprint. Tiny collectives are capped by their actual segment count.
-  const std::uint64_t total_segments =
-      (config_.collective_bytes.v() + config_.transport.mtu_payload - 1) /
-      config_.transport.mtu_payload;
-  const std::uint64_t in_flight =
-      std::min<std::uint64_t>(total_segments,
-                              static_cast<std::uint64_t>(config_.fabric.shape.num_hosts()) *
-                                  config_.transport.window);
-  sim_->reserve_events(static_cast<std::size_t>(6 * in_flight + 64));
 #if FP_TRACE_ENABLED
   // Tracing is armed before any component exists so even wiring-time and
   // first-iteration events land in the ring. An explicit config level wins;

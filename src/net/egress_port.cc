@@ -43,13 +43,12 @@ void EgressPort::try_start() {
   if (transmitting_) return;
   for (int pi = 0; pi < kNumPriorities; ++pi) {
     if (paused_[pi] || queues_[pi].empty()) continue;
-    in_flight_ = queues_[pi].front();
-    queues_[pi].pop_front();
+    in_flight_ = queues_[pi].pop_front();
     queued_bytes_[pi] -= in_flight_.size_bytes;
     queued_bytes_total_ -= in_flight_.size_bytes;
     transmitting_ = true;
     if (depart_hook_) depart_hook_(in_flight_);
-      sim_.schedule_in(core::serialization_time(in_flight_.size_bytes, params_.bandwidth),
+    sim_.schedule_in(core::serialization_time(in_flight_.size_bytes, params_.bandwidth),
                      [this] { finish_transmission(); });
     return;
   }
@@ -106,9 +105,7 @@ void EgressPort::finish_transmission() {
 
 void EgressPort::deliver_front() {
   assert(!on_wire_.empty());
-  const Packet pkt = on_wire_.front();
-  on_wire_.pop_front();
-  deliver_remote(pkt);
+  deliver_remote(on_wire_.pop_front());
 }
 
 // Delivery tail shared by the lane-local path (via deliver_front) and the
@@ -134,7 +131,7 @@ void EgressPort::audit_verify_quiescent() const {
                std::to_string(transmitting_) + " on_wire=" + std::to_string(on_wire_.size()));
   core::Bytes queued{};
   for (const auto& q : queues_) {
-    for (const Packet& p : q) queued += p.size_bytes;
+    for (std::size_t i = 0; i < q.size(); ++i) queued += q[i].size_bytes;
   }
   FP_AUDIT(queued == queued_bytes_total_, "link-conservation", name_,
            counters_.tx_packets.v(), sim_.now().ps(),

@@ -2,10 +2,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
+#include "core/ring.h"
 #include "core/units.h"
 #include "net/counters.h"
 #include "net/device.h"
@@ -150,7 +150,7 @@ class EgressPort {
   /// delivery-side audit ledgers — no field is touched by both.
   sim::Simulator* peer_sim_ = nullptr;
 
-  std::array<std::deque<Packet>, kNumPriorities> queues_;
+  std::array<core::Ring<Packet>, kNumPriorities> queues_;
   std::array<core::Bytes, kNumPriorities> queued_bytes_{};
   core::Bytes queued_bytes_total_{};
   std::array<bool, kNumPriorities> paused_{};
@@ -159,7 +159,7 @@ class EgressPort {
   Packet in_flight_{};
   /// Packets serialized and surviving the fault model, ordered by (equal)
   /// remaining propagation time; the propagation event delivers the front.
-  std::deque<Packet> on_wire_;
+  core::Ring<Packet> on_wire_;
 
   FaultModel fault_{};
   sim::Rng* fault_rng_ = nullptr;

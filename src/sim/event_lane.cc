@@ -2,6 +2,31 @@
 
 namespace flowpulse::sim {
 
+inline void EventLane::fire_next() {
+  EventQueue::Event ev = queue_.pop();
+  FP_AUDIT(ev.at >= now_, "event-monotonicity", "simulator", events_executed_, now_.ps(),
+           "popped event at " + std::to_string(ev.at.ps()) + "ps behind clock");
+#if FP_AUDIT_ENABLED
+  // Catches what monotonicity cannot: an event at the current picosecond
+  // whose (sched, prov) sorts before one already run, e.g. a cross-lane
+  // import staged with an earlier schedule instant.
+  FP_AUDIT(!audit_popped_any_ || EventQueue::earlier(audit_last_popped_, ev), "event-order",
+           "simulator", events_executed_, now_.ps(),
+           "popped (at, sched, prov) = (" + std::to_string(ev.at.ps()) + ", " +
+               std::to_string(ev.sched.ps()) + ", " + std::to_string(ev.prov) +
+               ") not after the previous (" + std::to_string(audit_last_popped_.at.ps()) +
+               ", " + std::to_string(audit_last_popped_.sched.ps()) + ", " +
+               std::to_string(audit_last_popped_.prov) + ")");
+  audit_popped_any_ = true;
+  audit_last_popped_.at = ev.at;
+  audit_last_popped_.sched = ev.sched;
+  audit_last_popped_.prov = ev.prov;
+#endif
+  now_ = ev.at;
+  ++events_executed_;
+  ev.fn();
+}
+
 void EventLane::run() { run_until(Time::max()); }
 
 void EventLane::run_until(Time deadline) {
@@ -15,12 +40,7 @@ void EventLane::run_until(Time deadline) {
   FP_TRACE(*this, kRunStart, "sim", 0, 0, queue_.size(), 0.0, "");
   bool halted = false;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
-    EventQueue::Event ev = queue_.pop();
-    FP_AUDIT(ev.at >= now_, "event-monotonicity", "simulator", events_executed_, now_.ps(),
-             "popped event at " + std::to_string(ev.at.ps()) + "ps behind clock");
-    now_ = ev.at;
-    ++events_executed_;
-    ev.fn();
+    fire_next();
     if (stopped_) {
       halted = true;
       stopped_ = false;  // the stop is consumed by the run it halted
@@ -47,7 +67,7 @@ void EventLane::fast_forward(Time to) {
 }
 
 void EventLane::stage_inbox() {
-  // Merge order across slots is irrelevant: the heap's provenance key
+  // Merge order across slots is irrelevant: the queue's provenance key
   // (fire_at, insert_at, src_lane, seq) totally orders the messages no
   // matter when they are inserted.
   for (std::vector<LaneMessage>& slot : inbox_) {
@@ -72,7 +92,7 @@ void EventLane::merge_one(LaneMessage& m) {
     slot = static_cast<std::uint32_t>(arena_.size());
     arena_.push_back(std::move(m.fn));
   }
-  // The trampoline is pointer + index: well under the 24-byte heap slot.
+  // The trampoline is pointer + index: well under the 24-byte event slot.
   queue_.schedule_imported(m.fire_at, m.insert_at, m.src_lane, m.seq,
                            [this, slot] { fire_slot(slot); });
 }
@@ -84,14 +104,7 @@ void EventLane::fire_slot(std::uint32_t slot) {
 }
 
 void EventLane::run_window(Time horizon) {
-  while (!queue_.empty() && queue_.next_time() < horizon) {
-    EventQueue::Event ev = queue_.pop();
-    FP_AUDIT(ev.at >= now_, "event-monotonicity", "simulator", events_executed_, now_.ps(),
-             "popped event at " + std::to_string(ev.at.ps()) + "ps behind clock");
-    now_ = ev.at;
-    ++events_executed_;
-    ev.fn();
-  }
+  while (!queue_.empty() && queue_.next_time() < horizon) fire_next();
 }
 
 #if FP_AUDIT_ENABLED

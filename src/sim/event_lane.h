@@ -38,10 +38,11 @@ namespace flowpulse::sim {
 ///
 /// and is written into D's inbox slot reserved for S — one writer per slot,
 /// so posting is race-free without locks. Between rounds the coordinator
-/// drains every slot straight into D's event heap (stage_inbox), carrying
-/// the provenance along.
+/// drains every slot straight into D's event queue (stage_inbox), carrying
+/// the provenance along; imports always take the queue's heap, never one
+/// of its constant-delay FIFOs.
 ///
-/// Bit-identity with the serial engine comes from the heap's ordering key
+/// Bit-identity with the serial engine comes from the queue's ordering key
 /// (see EventQueue): same-fire-time events order by schedule instant, then
 /// source lane, then per-source FIFO seq. The serial engine resolves such
 /// ties by its global FIFO counter, which is assigned in execution order —
@@ -58,9 +59,9 @@ namespace flowpulse::sim {
 /// and the laned golden tests would catch it if it appeared.
 ///
 /// Mailbox callables are `LaneFn` (96 B — they carry a whole Packet by
-/// value), too fat for the 24-byte heap slot. Merging parks the LaneFn in a
+/// value), too fat for the 24-byte event slot. Merging parks the LaneFn in a
 /// per-lane arena (free-list recycled) and schedules a thin
-/// {lane, slot} trampoline, keeping the heap entry at one cache line.
+/// {lane, slot} trampoline, keeping the queued event at one cache line.
 class EventLane {
  public:
   explicit EventLane(std::uint64_t seed = 1) : rng_{seed} {}
@@ -84,10 +85,6 @@ class EventLane {
              "schedule_at " + std::to_string(at.ps()) + "ps is before now");
     queue_.schedule(at, now_, lane_id_, std::move(fn));
   }
-
-  /// Pre-size the event heap for an expected number of simultaneously
-  /// pending events (see EventQueue::reserve).
-  void reserve_events(std::size_t n) { queue_.reserve(n); }
 
   /// Run until the event queue drains or `stop()` is called.
   void run();
@@ -146,7 +143,7 @@ class EventLane {
   }
 
   /// Coordinator only (between rounds): merge every inbox slot's messages
-  /// into the event heap at their provenance positions (see class comment).
+  /// into the event queue at their provenance positions (see class comment).
   void stage_inbox();
 
   /// Earliest instant at which this lane could next execute an event:
@@ -196,10 +193,16 @@ class EventLane {
 
   void merge_one(LaneMessage& m);
   void fire_slot(std::uint32_t slot);
+  /// Pop the earliest event, advance the clock to it and run it.
+  void fire_next();
 
 #if FP_AUDIT_ENABLED
   void audit_on_quiesce();
   std::vector<std::function<void()>> audit_quiesce_checks_;
+  /// Key of the last popped event (fn left empty), for the `event-order`
+  /// invariant: popped (at, sched, prov) keys strictly increase.
+  EventQueue::Event audit_last_popped_{};
+  bool audit_popped_any_ = false;
 #endif
 #if FP_TRACE_ENABLED
   core::TraceSink* trace_ = nullptr;

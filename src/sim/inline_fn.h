@@ -115,7 +115,7 @@ class BasicInlineFn {
 
 /// The event-queue callable. Capacity is 24 bytes: exactly the largest
 /// in-tree event capture (`this` plus a handful of ids), and it keeps a
-/// heap entry (fire time + schedule time + packed provenance + InlineFn)
+/// queued event (fire time + schedule time + packed provenance + InlineFn)
 /// at exactly one 64-byte cache line. A fatter capture fails to compile —
 /// raise this deliberately (and re-measure BM_*Events) if one ever needs
 /// more.
@@ -125,8 +125,8 @@ using InlineFn = BasicInlineFn<24>;
 /// must carry the whole Packet by value — the source lane's state cannot be
 /// dereferenced at the destination lane's fire time — so it needs a fatter
 /// buffer: `this` + Packet (~64 B) with headroom. Mailbox messages never
-/// enter the event heap directly (they are parked in a per-lane arena and
-/// fired through a thin trampoline), so the 64-byte HeapEntry budget is
+/// enter the event queue directly (they are parked in a per-lane arena and
+/// fired through a thin trampoline), so the 64-byte event budget is
 /// unaffected.
 using LaneFn = BasicInlineFn<96>;
 

@@ -1,8 +1,9 @@
 // Tests for the runtime invariant auditor (src/sim/audit.h).
 //
 // Each negative test deliberately breaks one invariant — drops a byte from
-// a link ledger, schedules an event into the past, wedges a PFC pause,
-// double-delivers a message, invents monitored bytes — and asserts that the
+// a link ledger, schedules an event into the past, stages a cross-lane
+// import behind the last event run, wedges a PFC pause, double-delivers a
+// message, invents monitored bytes — and asserts that the
 // corresponding check fires with the right structured diagnostic. A final
 // end-to-end scenario proves the clean path stays quiet. The whole file
 // self-skips in non-audit builds, where FP_AUDIT compiles to nothing.
@@ -106,6 +107,35 @@ TEST(Audit, EventScheduledIntoThePastFires) {
     EXPECT_EQ(e.violation().sim_time_ps, Time::nanoseconds(100).ps());
   }
   EXPECT_FALSE(past_event_ran);
+}
+
+TEST(Audit, ImportBehindLastPoppedEventFiresEventOrder) {
+  // Lane b runs an event at 100 ns that was scheduled at 50 ns. Then lane a
+  // posts to b a message due at 100 ns but scheduled at 10 ns: its fire
+  // time is not behind b's clock, so event-monotonicity passes, yet its key
+  // sorts before the event b already ran.
+  Simulator a{1};
+  Simulator b{2};
+  a.configure_lane(0, 2);
+  b.configure_lane(1, 2);
+  b.schedule_at(Time::nanoseconds(50), [&b] { b.schedule_in(Time::nanoseconds(50), [] {}); });
+  b.run_until(Time::nanoseconds(100));
+  ASSERT_EQ(b.events_executed(), 2u);
+  bool import_ran = false;
+  a.schedule_at(Time::nanoseconds(10), [&a, &b, &import_ran] {
+    a.post_remote(b, Time::nanoseconds(90), sim::LaneFn{[&import_ran] { import_ran = true; }});
+  });
+  a.run();
+  b.stage_inbox();
+  const audit::ScopedHandler guard{&throw_violation};
+  try {
+    b.run();
+    FAIL() << "event-order violation did not fire";
+  } catch (const audit::ViolationError& e) {
+    EXPECT_EQ(e.violation().invariant, "event-order");
+    EXPECT_EQ(e.violation().sim_time_ps, Time::nanoseconds(100).ps());
+  }
+  EXPECT_FALSE(import_ran);
 }
 
 TEST(Audit, StuckPfcPauseFires) {

@@ -1,14 +1,16 @@
 // core:: type-safety layer: StrongId semantics (ordering, formatting,
 // map keys, iteration), quantity arithmetic (Bytes/Packets/GbitsPerSec),
-// LinkId packing, and the golden bit-identity proof that the strong-type
-// conversion changed no observable output.
+// LinkId packing, the Ring FIFO, and the golden bit-identity proof that
+// the strong-type conversion changed no observable output.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <type_traits>
 
+#include "core/ring.h"
 #include "core/strong_id.h"
 #include "core/units.h"
 #include "golden_scenario.h"
@@ -138,6 +140,66 @@ TEST(GbitsPerSec, RateTimeAlgebra) {
   // And the strong-typed serialization_time matches the raw detail math.
   EXPECT_EQ(serialization_time(payload, GbitsPerSec{400.0}),
             sim::detail::serialization_time(4096, 400.0));
+}
+
+// ---------------------------------------------------------------------------
+// Ring
+// ---------------------------------------------------------------------------
+
+TEST(Ring, WrapsAroundWithoutGrowing) {
+  Ring<int> r;
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), 0u);  // nothing allocated before the first push
+  int next_in = 0;
+  int next_out = 0;
+  // Keep one slot short of full while cycling 100 elements through: the
+  // head and tail wrap many times and the first allocation suffices.
+  const std::size_t live = Ring<int>::kInitialCapacity - 1;
+  for (; next_in < static_cast<int>(live); ++next_in) r.push_back(next_in);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(r.front(), next_out);
+    EXPECT_EQ(r.pop_front(), next_out++);
+    r.push_back(next_in++);
+    EXPECT_EQ(r.back(), next_in - 1);
+    ASSERT_EQ(r.size(), live);
+    for (std::size_t k = 0; k < r.size(); ++k) EXPECT_EQ(r[k], next_out + static_cast<int>(k));
+  }
+  EXPECT_EQ(r.capacity(), Ring<int>::kInitialCapacity);
+  while (!r.empty()) EXPECT_EQ(r.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Ring, GrowsWhileWrappedAndKeepsOrder) {
+  Ring<int> r;
+  const int cap = static_cast<int>(Ring<int>::kInitialCapacity);
+  for (int i = 0; i < cap; ++i) r.push_back(i);
+  for (int i = 0; i < cap / 2; ++i) EXPECT_EQ(r.pop_front(), i);
+  // Refill to capacity: the live range now wraps past the buffer's end.
+  for (int i = cap; i < cap + cap / 2; ++i) r.push_back(i);
+  ASSERT_EQ(r.size(), r.capacity());
+  // The next push grows from a wrapped layout; 3.5× the first capacity
+  // plus one element grows it twice.
+  for (int i = cap + cap / 2; i < 4 * cap + 1; ++i) r.push_back(i);
+  EXPECT_EQ(r.capacity(), 4 * Ring<int>::kInitialCapacity);
+  EXPECT_EQ(r.front(), cap / 2);
+  EXPECT_EQ(r.back(), 4 * cap);
+  for (int i = cap / 2; i <= 4 * cap; ++i) EXPECT_EQ(r.pop_front(), i);
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, HoldsMoveOnlyElements) {
+  Ring<std::unique_ptr<int>> r;
+  for (int i = 0; i < 20; ++i) {
+    r.push_back(std::make_unique<int>(i));
+    if (i % 3 == 2) EXPECT_EQ(*r.pop_front(), i / 3);  // interleave pops so growth sees a wrap
+  }
+  int expect = 20 / 3;
+  while (!r.empty()) {
+    const std::unique_ptr<int> p = r.pop_front();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, expect++);
+  }
+  EXPECT_EQ(expect, 20);
 }
 
 // ---------------------------------------------------------------------------

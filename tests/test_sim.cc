@@ -2,7 +2,12 @@
 // ordering, determinism of the RNG streams.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -119,10 +124,9 @@ TEST(InlineFn, NonTrivialCapturesDestructAndMoveCorrectly) {
   EXPECT_TRUE(alive.expired());
 }
 
-TEST(EventQueue, ReservePreallocatesWithoutChangingBehavior) {
+TEST(EventQueue, ManyDistinctDelaysPopInTimeOrder) {
+  // 100 distinct delays: eight take the FIFOs, the rest fall back to the heap.
   EventQueue q;
-  q.reserve(256);
-  EXPECT_GE(q.capacity(), 256u);
   EXPECT_TRUE(q.empty());
   int fired = 0;
   for (int i = 0; i < 100; ++i) q.schedule(Time::nanoseconds(100 - i), Time::zero(), 0, [&fired] { ++fired; });
@@ -134,6 +138,219 @@ TEST(EventQueue, ReservePreallocatesWithoutChangingBehavior) {
     ev.fn();
   }
   EXPECT_EQ(fired, 100);
+}
+
+// ---------------------------------------------------------------------------
+// EventQueue vs a reference ordered by the full (at, sched, prov) key
+// ---------------------------------------------------------------------------
+
+/// Random interleavings of schedule / schedule_imported / pop, replayed
+/// against a std::set ordered by the queue's documented key. The test
+/// plays a lane: its clock is the last popped time, local events carry
+/// src 0, and imports come from srcs 1..3 with their own counters.
+struct QueueMix {
+  std::vector<Time> delays;          ///< constant delays; empty = random delays
+  std::int64_t random_delay_ps = 0;  ///< random delays are uniform in [0, this]
+  double import_p = 0.0;             ///< share of schedules that are imports
+  double backwards_p = 0.0;          ///< share of local schedules with sched behind the clock
+};
+
+class QueueDifferential {
+ public:
+  QueueDifferential(QueueMix mix, std::uint64_t seed) : mix_{std::move(mix)}, rng_{seed} {}
+
+  ::testing::AssertionResult run(int ops) {
+    for (int i = 0; i < ops && ok_; ++i) {
+      // Alternate 1000-op phases that grow and drain the queue, so FIFO
+      // rings grow, wrap and empty (and get rebound) many times.
+      const double push_p = (i / 1000) % 2 == 0 ? 0.7 : 0.3;
+      if (rng_.next_double() < push_p || ref_.empty()) {
+        if (rng_.next_double() < mix_.import_p) {
+          import_one();
+        } else {
+          schedule_one();
+        }
+      } else {
+        pop_one();
+      }
+    }
+    while (!ref_.empty() && ok_) pop_one();
+    if (!ok_) return ::testing::AssertionFailure() << failure_;
+    return ::testing::AssertionSuccess() << pops_ << " pops";
+  }
+
+ private:
+  struct Key {
+    Time at;
+    Time sched;
+    std::uint64_t prov;
+    int id;
+    bool operator<(const Key& o) const {
+      return std::tie(at, sched, prov) < std::tie(o.at, o.sched, o.prov);
+    }
+  };
+
+  void schedule_one() {
+    const std::uint64_t span = static_cast<std::uint64_t>(mix_.random_delay_ps) + 1;
+    const Time delay = mix_.delays.empty()
+                           ? Time::picoseconds(static_cast<std::int64_t>(rng_.next_below(span)))
+                           : mix_.delays[rng_.next_below(mix_.delays.size())];
+    Time sched = now_;
+    if (rng_.next_double() < mix_.backwards_p) {
+      sched = now_ - Time::picoseconds(static_cast<std::int64_t>(rng_.next_below(50'000)) + 1);
+    }
+    const int id = next_id_++;
+    ref_.insert(Key{sched + delay, sched, EventQueue::pack_provenance(0, scheduled_++), id});
+    q_.schedule(sched + delay, sched, 0, [this, id] { fired_ = id; });
+    check("schedule");
+  }
+
+  void import_one() {
+    // Earlier provenance than anything the lane schedules now, at a fire
+    // time that may tie with local events.
+    const std::uint32_t src = 1 + static_cast<std::uint32_t>(rng_.next_below(3));
+    const Time at = now_ + Time::picoseconds(static_cast<std::int64_t>(rng_.next_below(3)) * 1'280);
+    const Time sched = Time::picoseconds(
+        static_cast<std::int64_t>(rng_.next_below(static_cast<std::uint64_t>(now_.ps()) + 1)));
+    const std::uint64_t seq = import_seq_[src]++;
+    const int id = next_id_++;
+    ++scheduled_;
+    ref_.insert(Key{at, sched, EventQueue::pack_provenance(src, seq), id});
+    q_.schedule_imported(at, sched, src, seq, [this, id] { fired_ = id; });
+    check("import");
+  }
+
+  void pop_one() {
+    const Key want = *ref_.begin();
+    ref_.erase(ref_.begin());
+    EventQueue::Event ev = q_.pop();
+    ev.fn();
+    ++pops_;
+    if (ev.at != want.at || ev.sched != want.sched || ev.prov != want.prov || fired_ != want.id) {
+      fail("pop " + std::to_string(pops_) + ": got (" + std::to_string(ev.at.ps()) + ", " +
+           std::to_string(ev.sched.ps()) + ", " + std::to_string(ev.prov) + ") id " +
+           std::to_string(fired_) + ", want (" + std::to_string(want.at.ps()) + ", " +
+           std::to_string(want.sched.ps()) + ", " + std::to_string(want.prov) + ") id " +
+           std::to_string(want.id));
+      return;
+    }
+    if (ev.at > now_) now_ = ev.at;  // a lane's clock never runs backwards
+    check("pop");
+  }
+
+  void check(const char* op) {
+    if (!ok_) return;
+    if (q_.size() != ref_.size() || q_.empty() != ref_.empty() ||
+        q_.scheduled_total() != scheduled_) {
+      fail(std::string{op} + ": size " + std::to_string(q_.size()) + " vs " +
+           std::to_string(ref_.size()));
+    } else if (!ref_.empty() && q_.next_time() != ref_.begin()->at) {
+      fail(std::string{op} + ": next_time " + std::to_string(q_.next_time().ps()) + " vs " +
+           std::to_string(ref_.begin()->at.ps()));
+    }
+  }
+
+  void fail(std::string what) {
+    ok_ = false;
+    failure_ = std::move(what);
+  }
+
+  QueueMix mix_;
+  Rng rng_;
+  EventQueue q_;
+  std::set<Key> ref_;
+  Time now_ = Time::nanoseconds(100);
+  std::uint64_t scheduled_ = 0;
+  std::array<std::uint64_t, 4> import_seq_{};
+  int next_id_ = 0;
+  int fired_ = -1;
+  std::uint64_t pops_ = 0;
+  bool ok_ = true;
+  std::string failure_;
+};
+
+std::vector<Time> hop_delays(int n) {
+  // clos1k's four hot delays first, then distinct extras.
+  std::vector<Time> d{Time::picoseconds(1'280), Time::picoseconds(21'760),
+                      Time::nanoseconds(200), Time::microseconds(5)};
+  for (int i = 4; i < n; ++i) d.push_back(Time::picoseconds(83'200 + 1'000 * i));
+  return d;
+}
+
+TEST(EventQueueDifferential, MoreConstantDelaysThanFifos) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_TRUE(QueueDifferential({hop_delays(13)}, seed).run(20'000)) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferential, RandomDelaysAndSameInstantTies) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    // Delays in [0, 40] ps collide constantly, and many events share a
+    // fire time and a schedule instant, so prov decides.
+    EXPECT_TRUE(QueueDifferential({{}, 40}, seed).run(20'000)) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferential, ImportsCarryEarlierProvenance) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_TRUE(QueueDifferential({hop_delays(6), 0, 0.3}, seed).run(20'000)) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferential, BackwardsScheduleTakesTailGuard) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_TRUE(QueueDifferential({hop_delays(4), 0, 0.1, 0.2}, seed).run(20'000))
+        << "seed " << seed;
+  }
+  // Deterministic case: same delay, second sched behind the first. A FIFO
+  // append would pop 300 ns before 200 ns.
+  EventQueue q;
+  q.schedule(Time::nanoseconds(300), Time::nanoseconds(100), 0, [] {});
+  q.schedule(Time::nanoseconds(200), Time::zero(), 0, [] {});
+  EXPECT_EQ(q.next_time(), Time::nanoseconds(200));
+  EXPECT_EQ(q.pop().at, Time::nanoseconds(200));
+  EXPECT_EQ(q.pop().at, Time::nanoseconds(300));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, SharedCaptureReleasedOnceAcrossGrowthAndRebinding) {
+  int deletions = 0;
+  std::shared_ptr<int> token{new int(7), [&deletions](int* p) {
+                               ++deletions;
+                               delete p;
+                             }};
+  int runs = 0;
+  {
+    EventQueue q;
+    Time now = Time::zero();
+    const auto add = [&](Time delay) {
+      q.schedule(now + delay, now, 0, [token, &runs] { runs += *token; });
+    };
+    const auto pop_run = [&] {
+      EventQueue::Event ev = q.pop();
+      now = ev.at;
+      ev.fn();
+    };
+    // One delay: wrap the FIFO's ring, then grow it while wrapped.
+    for (int i = 0; i < 6; ++i) add(Time::nanoseconds(10));
+    for (int i = 0; i < 4; ++i) pop_run();
+    for (int i = 0; i < 12; ++i) add(Time::nanoseconds(10));
+    EXPECT_EQ(token.use_count(), 1 + static_cast<long>(q.size()));
+    // Bind every FIFO, then overflow into the heap.
+    for (int d = 11; d <= 20; ++d) add(Time::nanoseconds(d));
+    EXPECT_EQ(token.use_count(), 1 + static_cast<long>(q.size()));
+    while (!q.empty()) pop_run();
+    EXPECT_EQ(token.use_count(), 1);
+    // All FIFOs idle: new delays rebind them.
+    for (int d = 31; d <= 40; ++d) add(Time::nanoseconds(d));
+    for (int i = 0; i < 5; ++i) pop_run();
+    EXPECT_EQ(token.use_count(), 1 + static_cast<long>(q.size()));
+  }  // the queue dies with events still pending in FIFOs and the heap
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(runs, 7 * (4 + 24 + 5));
+  EXPECT_EQ(deletions, 0);
+  token.reset();
+  EXPECT_EQ(deletions, 1);
 }
 
 TEST(EventQueue, PopReturnsEarliest) {
