@@ -4,10 +4,9 @@
 // FP_TRACE emission macro. Split out of obs/trace.h so that sim — whose
 // event lanes carry the sink pointer the macro reads — can depend on it
 // without inverting the module DAG (sim may not include obs; the fplint
-// layering rule enforces this). The recorders (FlightRecorder,
-// ConcurrentRecorder), dump/config types, and env plumbing stay in
-// obs/trace.h, which re-exports everything here under the obs:: names all
-// instrumented layers use.
+// layering rule enforces this). The recorder (FlightRecorder), dump/config
+// types, and env plumbing stay in obs/trace.h, which re-exports everything
+// here under the obs:: names all instrumented layers use.
 //
 // Everything is header-only and compile-time gated: in the default build
 // FP_TRACE — arguments included — vanishes at preprocessing time, so

@@ -7,6 +7,7 @@
 
 #include "collective/demand_matrix.h"
 #include "collective/schedule.h"
+#include "exp/scenario.h"
 #include "exp/trials.h"
 
 namespace flowpulse::exp {
@@ -51,12 +52,12 @@ void ClosScenario::build() {
 
   transports_ = std::make_unique<transport::TransportLayer>(*lanes_.front(), *fabric_,
                                                             config_.transport);
-  flowpulse_ = std::make_unique<fp::ThreeLevelFlowPulse>(*fabric_, config_.threshold);
+  // Detection threshold for both monitored tiers.
+  constexpr double kThreshold = 0.01;
+  flowpulse_ = std::make_unique<fp::ThreeLevelFlowPulse>(*fabric_, kThreshold);
 
   collective::CollectiveConfig cc;
-  for (const net::HostId h : core::ids<net::HostId>(fabric_->num_hosts())) {
-    cc.hosts.push_back(h);
-  }
+  cc.hosts = all_hosts_ring(fabric_->info().leaf_tier());
   cc.schedule =
       collective::ring_reduce_scatter(fabric_->num_hosts(), config_.collective_bytes);
   cc.iterations = config_.iterations;
@@ -65,10 +66,8 @@ void ClosScenario::build() {
   runner_ = std::make_unique<collective::CollectiveRunner>(*lanes_.front(), *transports_,
                                                            std::move(cc));
 
-  std::vector<net::HostId> hosts(fabric_->num_hosts(), net::HostId{});
-  for (const net::HostId h : core::ids<net::HostId>(fabric_->num_hosts())) hosts[h.v()] = h;
-  const auto demand = collective::DemandMatrix::from_schedule(runner_->current_schedule(),
-                                                              hosts, fabric_->num_hosts());
+  const auto demand = collective::DemandMatrix::from_schedule(
+      runner_->current_schedule(), runner_->config().hosts, fabric_->num_hosts());
   const fp::ThreeLevelAnalyticalModel model{fabric_->info(), config_.transport.mtu_payload,
                                             net::kHeaderBytes};
   flowpulse_->set_prediction(model.predict(demand, fabric_->routing()));
@@ -85,11 +84,13 @@ ClosScenarioResult ClosScenario::run() {
   // detlint: ok(wall-clock): wall_seconds is throughput reporting only; it
   // never feeds simulation state and clos_report_hash zeroes it.
   const auto wall_start = std::chrono::steady_clock::now();
+  // Safety cap on simulated time.
+  constexpr sim::Time kHorizon = sim::Time::seconds(10);
   runner_->start();
   if (lane_runner_ != nullptr) {
-    lane_runner_->run_until(config_.horizon);
+    lane_runner_->run_until(kHorizon);
   } else {
-    lanes_.front()->run_until(config_.horizon);
+    lanes_.front()->run_until(kHorizon);
   }
   flowpulse_->flush();
 

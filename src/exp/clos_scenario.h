@@ -34,9 +34,6 @@ struct ClosScenarioConfig {
   sim::Time compute_gap = sim::Time::microseconds(5);
   sim::Time max_jitter = sim::Time::microseconds(1);
 
-  /// Detection threshold for both monitored tiers.
-  double threshold = 0.01;
-
   /// Silent faults, one struct per monitored link class. The laned engine
   /// cannot shard the fabric-wide fault RNG, so only deterministic kinds
   /// (FaultSpec::drops_all(): disconnect / black-hole) keep the run laned —
@@ -62,7 +59,6 @@ struct ClosScenarioConfig {
   std::int32_t lanes = -1;
 
   std::uint64_t seed = 1;
-  sim::Time horizon = sim::Time::seconds(10);
 };
 
 struct ClosScenarioResult {

@@ -14,6 +14,9 @@
 namespace flowpulse::exp {
 namespace {
 
+// Safety cap on simulated time.
+constexpr sim::Time kHorizon = sim::Time::seconds(10);
+
 // audit::ScopedDumpHook target: when an invariant dies mid-run, write the
 // flight recorder's retained window to stderr before the abort / test
 // throw, so the causal event trail survives the crash.
@@ -165,7 +168,6 @@ void Scenario::build() {
     ffc.mtu_payload = config_.transport.mtu_payload;
     ffc.header_bytes = net::kHeaderBytes;
     ffc.noise_rel = config_.fidelity.noise_rel;
-    ffc.fault_model = config_.fidelity.flow_fault_model;
     ffc.seed = config_.seed ^ 0xf1de11ull;
     fastforward_ = std::make_unique<fp::FastForwardModel>(config_.fabric.shape, ffc);
     std::vector<fp::FastForwardModel::FlowFault> faults;
@@ -196,7 +198,7 @@ void Scenario::build() {
     controller_->attach(*flowpulse_);
   }
 
-  if (recorder_ != nullptr && config_.trace.dump_on_alert) {
+  if (recorder_ != nullptr) {
     // Replace the alert hook (controller_->attach installed its own) with a
     // wrapper that runs the controller first: any quarantine the result
     // triggers is already in the ring when the dump snapshots it.
@@ -265,7 +267,9 @@ fp::PortLoadMap Scenario::simulation_prediction() const {
   // before the job (§5.2).
   ScenarioConfig nested = config_;
   nested.new_faults.clear();
-  nested.iterations = config_.sim_model_iterations;
+  // Iterations the nested prediction run simulates.
+  constexpr std::uint32_t kSimModelIterations = 2;
+  nested.iterations = kSimModelIterations;
   nested.flowpulse.model = fp::ModelKind::kAnalytical;  // prediction unused
   // The model-building run must measure real packets, whatever the outer
   // run's fidelity policy is.
@@ -350,12 +354,19 @@ void Scenario::run_hybrid() {
       flow_only ? 0 : std::max<std::uint32_t>(1, config_.fidelity.warmup_iterations);
   const net::TopologyInfo& info = config_.fabric.shape;
 
-  // Iteration-duration estimate for the fast-forward clock: packet-measured
-  // EWMA in hybrid mode, analytic in pure flow mode (or the explicit knob).
-  sim::Time est = config_.fidelity.flow_iteration_time;
-  if (est <= sim::Time::zero()) {
-    est = fastforward_->estimate_iteration_time(demand_, config_.fabric.host_link.bandwidth);
-  }
+  // Demote to packets when a configured silent fault is active within this
+  // many iterations of the upcoming window (fault onset/offset edges are
+  // where flow-level synthesis is least faithful).
+  constexpr std::uint32_t kFaultGuardIterations = 1;
+  // Hysteresis: after any detector alert or mitigation action, stay at
+  // packet fidelity for this many iterations before re-promoting. Covers
+  // debounce + probation of the default mitigation policy.
+  constexpr std::uint32_t kAlertHoldIterations = 4;
+
+  // Iteration-duration estimate for the fast-forward clock: analytic at
+  // first, then the EWMA of measured packet iterations in hybrid mode.
+  sim::Time est =
+      fastforward_->estimate_iteration_time(demand_, config_.fabric.host_link.bandwidth);
 
   std::uint32_t hold = 0;          // alert-hold hysteresis, in iterations
   std::size_t seen_results = 0;    // results already scanned for alerts
@@ -363,13 +374,13 @@ void Scenario::run_hybrid() {
   bool prev_packet = true;
 
   for (std::uint32_t iter = 0; iter < config_.iterations; ++iter) {
-    if (sim_->now() >= config_.horizon) break;
+    if (sim_->now() >= kHorizon) break;
 
     bool packet = false;
     if (!flow_only) {
       const sim::Time span = est + config_.compute_gap;
       const sim::Time guard =
-          sim::Time::picoseconds(span.ps() * (config_.fidelity.fault_guard_iterations + 1));
+          sim::Time::picoseconds(span.ps() * (kFaultGuardIterations + 1));
       const sim::Time guard_start =
           sim_->now() > guard ? sim_->now() - guard : sim::Time::zero();
       packet = iter < warmup || hold > 0 ||
@@ -391,7 +402,7 @@ void Scenario::run_hybrid() {
       // before", not "iter + 1".
       const std::uint32_t completed_before = runner_->completed_iterations();
       runner_->start_iteration(iter);
-      sim_->run_until(config_.horizon);  // the stop hook halts at completion
+      sim_->run_until(kHorizon);  // the stop hook halts at completion
       if (runner_->completed_iterations() == completed_before) {
         // Horizon hit mid-iteration: the iteration did not complete.
         --fidelity_stats_.packet_iterations;
@@ -427,7 +438,7 @@ void Scenario::run_hybrid() {
     }
 
     // Hysteresis: any alerted check or controller action demotes the NEXT
-    // alert_hold_iterations to packets, so debounce/probation judge real
+    // kAlertHoldIterations to packets, so debounce/probation judge real
     // traffic end-to-end.
     bool activity = false;
     const auto& results = flowpulse_->results();
@@ -439,7 +450,7 @@ void Scenario::run_hybrid() {
       activity = true;
     }
     if (activity && !flow_only) {
-      hold = config_.fidelity.alert_hold_iterations;
+      hold = kAlertHoldIterations;
     } else if (hold > 0) {
       --hold;
     }
@@ -450,13 +461,14 @@ void Scenario::run_hybrid() {
 // Snapshot the ring when a (leaf × iteration) check flagged ports or drove
 // the controller to act — the retained window is the causal context of the
 // alert. One dump per iteration (every leaf reports each iteration), capped
-// at trace.max_dumps per run.
+// at kMaxDumps per run.
 void Scenario::maybe_dump(const fp::DetectionResult& result) {
+  constexpr std::size_t kMaxDumps = 8;
   const std::size_t mitigations = controller_ != nullptr ? controller_->events().size() : 0;
   const bool mitigated = mitigations > traced_mitigations_;
   traced_mitigations_ = mitigations;
   if (!result.faulty() && !mitigated) return;
-  if (trace_dumps_.size() >= config_.trace.max_dumps) return;
+  if (trace_dumps_.size() >= kMaxDumps) return;
   if (!trace_dumps_.empty() && trace_dumps_.back().iteration == result.iteration.v()) return;
   obs::TraceDump d;
   d.reason = (mitigated ? "mitigation leaf" : "detector-flag leaf") +
@@ -480,12 +492,12 @@ ScenarioResult Scenario::run() {
     run_hybrid();
   } else if (lane_runner_ != nullptr) {
     runner_->start();
-    lane_runner_->run_until(config_.horizon);
+    lane_runner_->run_until(kHorizon);
     flowpulse_->flush();
   } else {
     runner_->start();
     if (background_runner_) background_runner_->start();
-    sim_->run_until(config_.horizon);
+    sim_->run_until(kHorizon);
     flowpulse_->flush();
   }
   // detlint: ok(wall-clock): end stamp of the reporting-only wall duration.

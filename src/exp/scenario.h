@@ -62,8 +62,6 @@ struct ScenarioConfig {
 
   // FlowPulse deployment.
   fp::SystemConfig flowpulse{};
-  /// Iterations the nested prediction run simulates (kSimulation model).
-  std::uint32_t sim_model_iterations = 2;
 
   /// Closed-loop mitigation (ctrl::MitigationController). Only wired for the
   /// fixed-model modes (kAnalytical / kSimulation): re-baselining means
@@ -96,8 +94,6 @@ struct ScenarioConfig {
   std::int32_t lanes = -1;
 
   std::uint64_t seed = 1;
-  /// Safety cap on simulated time.
-  sim::Time horizon = sim::Time::seconds(10);
 };
 
 /// What one run produced.

@@ -5,22 +5,11 @@ namespace flowpulse::fp {
 PortLoadMap AnalyticalModel::predict(const collective::DemandMatrix& demand,
                                      const net::RoutingState& routing) const {
   PortLoadMap map{info_.leaves, info_.uplinks_per_leaf()};
-  const std::uint32_t hosts = demand.hosts();
-  for (const net::HostId src : core::ids<net::HostId>(hosts)) {
-    const net::LeafId src_leaf = info_.leaf_of(src);
-    for (const net::HostId dst : core::ids<net::HostId>(hosts)) {
-      const core::Bytes d = demand.at(src, dst);
-      if (d == core::Bytes{0}) continue;
-      const net::LeafId dst_leaf = info_.leaf_of(dst);
-      if (src_leaf == dst_leaf) continue;  // local traffic never reaches spines
-      const auto& valid = routing.valid_uplinks(src_leaf, dst_leaf);
-      if (valid.empty()) continue;  // partitioned: nothing arrives
-      const double share = wire_bytes(d) / static_cast<double>(valid.size());
-      for (const net::UplinkIndex u : valid) {
-        map.add(dst_leaf, u, src_leaf, share);
-      }
-    }
-  }
+  for_each_share(demand, routing,
+                 [&map](net::LeafId src_leaf, net::LeafId dst_leaf,
+                        const std::vector<net::UplinkIndex>& valid, double share) {
+                   for (const net::UplinkIndex u : valid) map.add(dst_leaf, u, src_leaf, share);
+                 });
   return map;
 }
 

@@ -28,35 +28,15 @@ namespace {
 }  // namespace
 
 FastForwardModel::FastForwardModel(const net::TopologyInfo& info, Config config)
-    : info_{info}, config_{config}, baseline_{info.leaves, info.uplinks_per_leaf()} {}
-
-double FastForwardModel::wire_bytes(core::Bytes payload) const {
-  if (payload == core::Bytes{0}) return 0.0;
-  const std::uint64_t segments =
-      (payload.v() + config_.mtu_payload - 1) / config_.mtu_payload;
-  return static_cast<double>(payload.v() + segments * config_.header_bytes.v());
-}
+    : info_{info},
+      config_{config},
+      model_{info, config.mtu_payload, config.header_bytes},
+      baseline_{info.leaves, info.uplinks_per_leaf()} {}
 
 void FastForwardModel::rebaseline(const collective::DemandMatrix& demand,
                                   const net::RoutingState& routing) {
   routing_ = &routing;
-  baseline_ = PortLoadMap{info_.leaves, info_.uplinks_per_leaf()};
-  const std::uint32_t hosts = demand.hosts();
-  for (const net::HostId src : core::ids<net::HostId>(hosts)) {
-    const net::LeafId src_leaf = info_.leaf_of(src);
-    for (const net::HostId dst : core::ids<net::HostId>(hosts)) {
-      const core::Bytes d = demand.at(src, dst);
-      if (d == core::Bytes{0}) continue;
-      const net::LeafId dst_leaf = info_.leaf_of(dst);
-      if (src_leaf == dst_leaf) continue;
-      const auto& valid = routing.valid_uplinks(src_leaf, dst_leaf);
-      if (valid.empty()) continue;
-      const double share = wire_bytes(d) / static_cast<double>(valid.size());
-      for (const net::UplinkIndex u : valid) {
-        baseline_.add(dst_leaf, u, src_leaf, share);
-      }
-    }
-  }
+  baseline_ = model_.predict(demand, routing);
 }
 
 double FastForwardModel::stationary_drop(const net::FaultSpec& spec) {
@@ -123,28 +103,22 @@ IterationRecord FastForwardModel::synthesize(net::LeafId leaf, net::IterIndex it
 
   for (const net::LeafId src : core::ids<net::LeafId>(info_.leaves)) {
     if (src == leaf) continue;
-    if (config_.fault_model) {
-      // Attenuate each uplink's share by its survival weight, then re-spray
-      // the lost bytes uniformly over the pair's valid uplinks (retransmit
-      // resurfacing, first order).
-      double lost = 0.0;
-      for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks)) {
-        const double share = baseline_.at(leaf, u).by_src_leaf[src.v()];
-        if (share <= 0.0) continue;
-        const double w = survival(src, u, leaf, window_start, window_end);
-        rec.by_src[u.v()][src.v()] = share * w;
-        lost += share * (1.0 - w);
-      }
-      if (lost > 0.0) {
-        const auto& valid = routing_->valid_uplinks(src, leaf);
-        if (!valid.empty()) {
-          const double refill = lost / static_cast<double>(valid.size());
-          for (const net::UplinkIndex u : valid) rec.by_src[u.v()][src.v()] += refill;
-        }
-      }
-    } else {
-      for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks)) {
-        rec.by_src[u.v()][src.v()] = baseline_.at(leaf, u).by_src_leaf[src.v()];
+    // Attenuate each uplink's share by its survival weight, then re-spray
+    // the lost bytes uniformly over the pair's valid uplinks (retransmit
+    // resurfacing, first order). With no active fault every weight is 1.
+    double lost = 0.0;
+    for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks)) {
+      const double share = baseline_.at(leaf, u).by_src_leaf[src.v()];
+      if (share <= 0.0) continue;
+      const double w = survival(src, u, leaf, window_start, window_end);
+      rec.by_src[u.v()][src.v()] = share * w;
+      lost += share * (1.0 - w);
+    }
+    if (lost > 0.0) {
+      const auto& valid = routing_->valid_uplinks(src, leaf);
+      if (!valid.empty()) {
+        const double refill = lost / static_cast<double>(valid.size());
+        for (const net::UplinkIndex u : valid) rec.by_src[u.v()][src.v()] += refill;
       }
     }
   }
@@ -175,24 +149,21 @@ IterationRecord FastForwardModel::synthesize(net::LeafId leaf, net::IterIndex it
     rec.bytes[u] = t;
     total_bytes += t;
   }
-  const double wire_mtu = static_cast<double>(config_.mtu_payload + config_.header_bytes.v());
+  const double wire_mtu = model_.wire_bytes(core::Bytes{config_.mtu_payload});
   rec.packets = static_cast<std::uint64_t>(total_bytes / wire_mtu + 0.5);
   return rec;
 }
 
 sim::Time FastForwardModel::estimate_iteration_time(const collective::DemandMatrix& demand,
                                                     core::GbitsPerSec host_rate) const {
+  std::vector<double> tx(demand.hosts(), 0.0);
+  std::vector<double> rx(demand.hosts(), 0.0);
+  model_.for_each_pair(demand, [&](net::HostId src, net::HostId dst, double wire) {
+    tx[src.v()] += wire;
+    rx[dst.v()] += wire;
+  });
   double busiest = 0.0;
-  const std::uint32_t hosts = demand.hosts();
-  for (const net::HostId a : core::ids<net::HostId>(hosts)) {
-    double tx = 0.0;
-    double rx = 0.0;
-    for (const net::HostId b : core::ids<net::HostId>(hosts)) {
-      tx += wire_bytes(demand.at(a, b));
-      rx += wire_bytes(demand.at(b, a));
-    }
-    busiest = std::max({busiest, tx, rx});
-  }
+  for (std::size_t h = 0; h < tx.size(); ++h) busiest = std::max({busiest, tx[h], rx[h]});
   // Serialization of the busiest endpoint plus 25% pipeline/ACK slack; a
   // floor keeps zero-demand iterations from collapsing the clock.
   const sim::Time serial =

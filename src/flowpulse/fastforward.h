@@ -5,6 +5,7 @@
 
 #include "collective/demand_matrix.h"
 #include "core/units.h"
+#include "flowpulse/analytical_model.h"
 #include "flowpulse/monitor.h"
 #include "flowpulse/port_load.h"
 #include "net/fault.h"
@@ -18,13 +19,12 @@ namespace flowpulse::fp {
 /// per-port × sender byte counters every PortMonitor would have finalized,
 /// without simulating a single packet.
 ///
-/// The healthy baseline is the analytical model's expectation (d/(s−f)
-/// spray shares in wire bytes, identical math to AnalyticalModel::predict —
-/// EXPERIMENTS.md FIG2 measures it within 0.2% of packet simulation).
-/// On top of it:
+/// The healthy baseline is AnalyticalModel::predict itself (d/(s−f) spray
+/// shares in wire bytes — EXPERIMENTS.md FIG2 measures it within 0.2% of
+/// packet simulation). On top of it:
 ///
-///  * Silent faults (optional, kFlow mode) attenuate each (sender, uplink,
-///    receiver) share by a first-order survival weight
+///  * Silent faults attenuate each (sender, uplink, receiver) share by a
+///    first-order survival weight
 ///    w = (1 − p_up·duty) · (1 − p_down·duty), where p is the fault kind's
 ///    stationary drop probability and duty its active fraction of the
 ///    iteration window (flap-aware). The dropped share is re-sprayed
@@ -46,7 +46,6 @@ class FastForwardModel {
     std::uint32_t mtu_payload = 4096;
     core::Bytes header_bytes{64};
     double noise_rel = 0.0;
-    bool fault_model = false;
     std::uint64_t seed = 1;
   };
 
@@ -75,8 +74,8 @@ class FastForwardModel {
                                            sim::Time window_end) const;
 
   /// Analytic iteration-duration estimate: serialization of the busiest
-  /// host's wire bytes at `host_rate`, plus pipeline slack. Used by kFlow
-  /// mode, where no packet-measured duration exists.
+  /// host's wire bytes at `host_rate`, plus pipeline slack. Seeds the
+  /// fast-forward clock; kHybrid then refines it from packet iterations.
   [[nodiscard]] sim::Time estimate_iteration_time(const collective::DemandMatrix& demand,
                                                   core::GbitsPerSec host_rate) const;
 
@@ -89,12 +88,12 @@ class FastForwardModel {
   [[nodiscard]] const PortLoadMap& baseline() const { return baseline_; }
 
  private:
-  [[nodiscard]] double wire_bytes(core::Bytes payload) const;
   [[nodiscard]] double survival(net::LeafId src, net::UplinkIndex u, net::LeafId dst,
                                 sim::Time ws, sim::Time we) const;
 
   net::TopologyInfo info_;
   Config config_;
+  AnalyticalModel model_;
   std::vector<FlowFault> faults_;
   PortLoadMap baseline_;
   const net::RoutingState* routing_ = nullptr;

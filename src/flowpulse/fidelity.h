@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/time.h"
-
 namespace flowpulse::fp {
 
 /// Fidelity lattice of the hybrid engine, highest to lowest:
@@ -50,30 +48,11 @@ struct FidelityPolicy {
   /// to >= 1 in kHybrid; kFlow ignores it and estimates analytically.
   std::uint32_t warmup_iterations = 1;
 
-  /// Demote to packets when a configured silent fault is active within this
-  /// many iterations of the upcoming window (fault onset/offset edges are
-  /// where flow-level synthesis is least faithful).
-  std::uint32_t fault_guard_iterations = 1;
-
-  /// Hysteresis: after any detector alert or mitigation action, stay at
-  /// packet fidelity for this many iterations before re-promoting. Should
-  /// cover debounce + probation of the mitigation policy in use.
-  std::uint32_t alert_hold_iterations = 4;
-
   /// Relative sigma of the deterministic multiplicative noise applied to
   /// synthesized per-port counters, so detector statistics stay honest
   /// (spray imbalance in packet runs is ~0.2% at paper scale). Set to 0
   /// for exact analytical counters.
   double noise_rel = 0.002;
-
-  /// kFlow: fold active silent faults into synthesized counters via the
-  /// first-order survival model (FastForwardModel). Disabling it makes
-  /// flow mode blind to silent faults (useful to isolate detector noise).
-  bool flow_fault_model = true;
-
-  /// kFlow: fixed synthetic iteration duration. zero() = estimate from the
-  /// demand matrix and host link rate.
-  sim::Time flow_iteration_time = sim::Time::zero();
 };
 
 /// What the hybrid engine actually did during a run — the fidelity

@@ -92,10 +92,13 @@ LearnedModel::Outcome LearnedModel::observe(const IterationRecord& record) {
     }
     return std::isinf(m) ? 0.0 : m;
   };
+  // Re-baseline when dispersion shrinks by at least this factor while all
+  // deviating ports gained traffic.
+  constexpr double kHealingCvMargin = 0.05;
   const double cv_now = dispersion(record.bytes);
   const bool weakest_improved =
       min_active(record.bytes) >= min_active(baseline_) * (1.0 - config_.threshold);
-  if (weakest_improved && cv_now < baseline_cv_ * (1.0 - config_.healing_cv_margin)) {
+  if (weakest_improved && cv_now < baseline_cv_ * (1.0 - kHealingCvMargin)) {
     out.kind = Outcome::Kind::kRebaseline;
     ++rebaseline_count_;
     reset_learning();

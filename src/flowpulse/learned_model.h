@@ -26,9 +26,6 @@ class LearnedModel {
   struct Config {
     std::uint32_t learn_iterations = 3;
     double threshold = 0.01;
-    /// Re-baseline when dispersion shrinks by at least this factor while
-    /// all deviating ports gained traffic.
-    double healing_cv_margin = 0.05;
   };
 
   enum class Phase : std::uint8_t { kLearning, kMonitoring };

@@ -61,13 +61,13 @@ DetectionResult StreamingDetector::observe(const IterationRecord& record) {
     }
 
     // Judge against the frozen pre-update statistics.
-    const double floor = config_.var_floor_rel * st.mean;
+    const double floor = kVarFloorRel * st.mean;
     const double sigma = std::sqrt(std::max(st.var, floor * floor));
     const double diff = x - st.mean;
     const double z = sigma > 0.0 ? diff / sigma
                                  : (diff == 0.0 ? 0.0 : std::numeric_limits<double>::infinity());
     const double rel = relative_deviation(x, st.mean);
-    const bool alerted = std::fabs(z) > config_.z_threshold && rel > config_.min_rel_dev;
+    const bool alerted = std::fabs(z) > kZThreshold && rel > kMinRelDev;
     if (rel > result.max_rel_dev) result.max_rel_dev = rel;
 
     if (alerted) {
@@ -82,7 +82,7 @@ DetectionResult StreamingDetector::observe(const IterationRecord& record) {
       PortLoad predicted{leaves_};
       predicted.total = st.mean;
       for (std::uint32_t s = 0; s < leaves_; ++s) predicted.by_src_leaf[s] = src[s];
-      alert.localization = localize(record, predicted, u, config_.min_rel_dev);
+      alert.localization = localize(record, predicted, u, kMinRelDev);
       result.alerts.push_back(std::move(alert));
       // Frozen: a faulty iteration must not drag the baseline toward itself.
       continue;

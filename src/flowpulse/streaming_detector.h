@@ -15,15 +15,8 @@ namespace flowpulse::fp {
 struct StreamingConfig {
   /// EWMA weight of the newest sample for both mean and variance.
   double alpha = 0.25;
-  /// A port alerts when |observed − mean| exceeds this many EWMA sigmas...
-  double z_threshold = 4.0;
-  /// ...AND this relative deviation (keeps a near-zero variance estimate
-  /// from flagging sub-noise wiggles).
-  double min_rel_dev = 0.005;
   /// Iterations absorbed before judging, when no prior was seeded.
   std::uint32_t warmup_iterations = 3;
-  /// Variance floor, as a fraction of the mean: sigma >= var_floor_rel·mean.
-  double var_floor_rel = 1e-3;
 };
 
 /// O(1)-state streaming detector: one EWMA mean/variance pair per monitored
@@ -41,6 +34,14 @@ struct StreamingConfig {
 /// the envelope.
 class StreamingDetector {
  public:
+  /// A port alerts when |observed − mean| exceeds this many EWMA sigmas...
+  static constexpr double kZThreshold = 4.0;
+  /// ...AND this relative deviation (keeps a near-zero variance estimate
+  /// from flagging sub-noise wiggles).
+  static constexpr double kMinRelDev = 0.005;
+  /// Variance floor, as a fraction of the mean: sigma >= kVarFloorRel·mean.
+  static constexpr double kVarFloorRel = 1e-3;
+
   StreamingDetector(net::LeafId leaf, std::uint32_t uplinks, std::uint32_t leaves,
                     StreamingConfig config);
 

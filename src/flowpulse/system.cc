@@ -28,7 +28,7 @@ FlowPulseSystem::FlowPulseSystem(const net::TopologyInfo& topo, SystemConfig con
     }
     if (config_.detector == DetectorKind::kStreaming) {
       streaming_.push_back(std::make_unique<StreamingDetector>(
-          l, topo_.uplinks_per_leaf(), topo_.leaves, config_.streaming));
+          l, topo_.uplinks_per_leaf(), topo_.leaves, StreamingConfig{}));
     }
   }
 }

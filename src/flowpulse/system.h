@@ -35,7 +35,6 @@ struct SystemConfig {
   ModelKind model = ModelKind::kAnalytical;
   LearnedModel::Config learned{};
   DetectorKind detector = DetectorKind::kThreshold;
-  StreamingConfig streaming{};  ///< kStreaming knobs
 };
 
 /// The deployed FlowPulse system: one PortMonitor per leaf switch, each

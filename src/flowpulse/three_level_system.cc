@@ -7,33 +7,25 @@ namespace flowpulse::fp {
 ThreeLevelPrediction ThreeLevelAnalyticalModel::predict(
     const collective::DemandMatrix& demand, const net::RoutingState& routing) const {
   ThreeLevelPrediction pred{info_};
-  const std::uint32_t hosts = demand.hosts();
-  for (const net::HostId src : core::ids<net::HostId>(hosts)) {
-    const net::LeafId src_leaf = info_.leaf_of(src);
-    for (const net::HostId dst : core::ids<net::HostId>(hosts)) {
-      const core::Bytes d = demand.at(src, dst);
-      if (d == core::Bytes{0}) continue;
-      const net::LeafId dst_leaf = info_.leaf_of(dst);
-      if (src_leaf == dst_leaf) continue;  // stays under the leaf
-      const auto& valid = routing.valid_uplinks(src_leaf, dst_leaf);
-      if (valid.empty()) continue;
-      const double per_spine = wire_bytes(d) / static_cast<double>(valid.size());
-      const std::uint32_t dst_pod = info_.pod_of_leaf(dst_leaf);
-      const bool cross_pod = info_.pod_of_leaf(src_leaf) != dst_pod;
-      for (const net::UplinkIndex s : valid) {
-        pred.leaf_level.add(dst_leaf, s, src_leaf, per_spine);
-        if (cross_pod) {
-          const double per_core = per_spine / info_.cores_per_group();
+  const std::uint32_t cores = info_.cores_per_group();
+  leaf_model_.for_each_share(
+      demand, routing,
+      [&](net::LeafId src_leaf, net::LeafId dst_leaf, const std::vector<net::UplinkIndex>& valid,
+          double per_spine) {
+        const std::uint32_t dst_pod = info_.pod_of_leaf(dst_leaf);
+        const bool cross_pod = info_.pod_of_leaf(src_leaf) != dst_pod;
+        const double per_core = per_spine / cores;
+        for (const net::UplinkIndex s : valid) {
+          pred.leaf_level.add(dst_leaf, s, src_leaf, per_spine);
+          if (!cross_pod) continue;
           // spine_level rows live in monitor-id space: the global pod-spine
           // id plays the row role LeafId plays at the leaf tier.
           const net::LeafId ps_row{info_.pod_spine_id(dst_pod, s.v())};
-          for (std::uint32_t k = 0; k < info_.cores_per_group(); ++k) {
-            pred.spine_level.add(ps_row, net::UplinkIndex{k}, src_leaf, per_core);
+          for (const net::UplinkIndex k : core::ids<net::UplinkIndex>(cores)) {
+            pred.spine_level.add(ps_row, k, src_leaf, per_core);
           }
         }
-      }
-    }
-  }
+      });
   return pred;
 }
 

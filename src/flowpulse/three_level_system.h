@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "collective/demand_matrix.h"
+#include "flowpulse/analytical_model.h"
 #include "flowpulse/detector.h"
 #include "flowpulse/monitor.h"
 #include "flowpulse/port_load.h"
@@ -33,25 +34,21 @@ struct ThreeLevelPrediction {
 /// Known faults are supported on leaf↔pod-spine links (the RoutingState),
 /// which removes the pod-spine index end-to-end — exactly how the fabric
 /// routes around them.
+///
+/// The leaf tier is the 2-level AnalyticalModel over info.leaf_tier(); its
+/// one visit of each pair's share also fills the pod-spine tier.
 class ThreeLevelAnalyticalModel {
  public:
   ThreeLevelAnalyticalModel(const net::ThreeLevelInfo& info, std::uint32_t mtu_payload,
                             core::Bytes header_bytes)
-      : info_{info}, mtu_payload_{mtu_payload}, header_bytes_{header_bytes} {}
+      : info_{info}, leaf_model_{info.leaf_tier(), mtu_payload, header_bytes} {}
 
   [[nodiscard]] ThreeLevelPrediction predict(const collective::DemandMatrix& demand,
                                              const net::RoutingState& routing) const;
 
  private:
-  [[nodiscard]] double wire_bytes(core::Bytes payload) const {
-    if (payload == core::Bytes{0}) return 0.0;
-    const std::uint64_t segments = (payload.v() + mtu_payload_ - 1) / mtu_payload_;
-    return static_cast<double>(payload.v() + segments * header_bytes_.v());
-  }
-
   net::ThreeLevelInfo info_;
-  std::uint32_t mtu_payload_;
-  core::Bytes header_bytes_;
+  AnalyticalModel leaf_model_;
 };
 
 /// FlowPulse deployed at BOTH tiers of a 3-level fabric: every leaf watches

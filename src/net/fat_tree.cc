@@ -27,8 +27,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config)
     leaves_.push_back(std::make_unique<LeafSwitch>(lane_for_leaf(l), l, config_.shape, routing_,
                                                    config_.spray, config_.pfc,
                                                    config_.host_link, config_.fabric_link,
-                                                   spray_seeder.split(),
-                                                   config_.spray_quantum_bytes));
+                                                   spray_seeder.split()));
   }
   spines_.reserve(shape.spines);
   for (const SpineId s : core::ids<SpineId>(shape.spines)) {

@@ -23,9 +23,6 @@ struct FatTreeConfig {
   LinkParams host_link{core::GbitsPerSec{400.0}, sim::Time::nanoseconds(200)};
   LinkParams fabric_link{core::GbitsPerSec{400.0}, sim::Time::nanoseconds(200)};
   SprayPolicy spray = SprayPolicy::kAdaptive;
-  /// Adaptive spraying compares queue occupancy in grades of this many
-  /// bytes (coarse congestion levels, as adaptive-routing ASICs do).
-  core::Bytes spray_quantum_bytes{8192};
   PfcConfig pfc{};
   std::uint64_t seed = 0x5eed;  ///< seeds spray tie-breaks and fault sampling
 };

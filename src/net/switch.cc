@@ -46,7 +46,6 @@ void Switch::set_upstream(PortIndex in_port, EgressPort* upstream) {
 }
 
 void Switch::pfc_on_arrival(const Packet& p, PortIndex in_port) {
-  if (!pfc_.enabled) return;
   assert(in_port.v() < ingress_bytes_.size());
   const int pi = priority_index(p.priority);
   auto& bytes = ingress_bytes_[in_port.v()][pi];
@@ -74,7 +73,7 @@ void Switch::pfc_on_arrival(const Packet& p, PortIndex in_port) {
 }
 
 void Switch::pfc_on_depart(const Packet& p) {
-  if (!pfc_.enabled || p.pfc_ingress == kInvalidPort) return;
+  if (p.pfc_ingress == kInvalidPort) return;
   assert(p.pfc_ingress.v() < ingress_bytes_.size());
   const int pi = priority_index(p.priority);
   auto& bytes = ingress_bytes_[p.pfc_ingress.v()][pi];
@@ -135,8 +134,7 @@ void Switch::hook_depart(EgressPort& port) {
 
 LeafSwitch::LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo& info,
                        const RoutingState& routing, SprayPolicy spray, PfcConfig pfc,
-                       LinkParams host_link, LinkParams fabric_link, sim::Rng rng,
-                       core::Bytes spray_quantum_bytes)
+                       LinkParams host_link, LinkParams fabric_link, sim::Rng rng)
     : Switch{simulator, "leaf" + std::to_string(id.v()),
              info.hosts_per_leaf + info.uplinks_per_leaf(), pfc},
       id_{id},
@@ -144,7 +142,6 @@ LeafSwitch::LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo&
       routing_{routing},
       spray_{spray},
       rng_{rng},
-      spray_quantum_{spray_quantum_bytes.v() == 0 ? core::Bytes{1} : spray_quantum_bytes},
       sent_bytes_(static_cast<std::size_t>(info.leaves) * kNumPriorities *
                       info.uplinks_per_leaf(),
                   core::Bytes{}) {
@@ -237,7 +234,7 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
 
     case SprayPolicy::kAdaptive:
       return pick_byte_deficit(
-          uplink_ports_, valid, p, spray_quantum_,
+          uplink_ports_, valid, p,
           &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
                         priority_index(p.priority)) *
                        info_.uplinks_per_leaf()]);
@@ -247,7 +244,15 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
 
 UplinkIndex pick_byte_deficit(const std::vector<std::unique_ptr<EgressPort>>& ports,
                               const std::vector<UplinkIndex>& candidates, const Packet& p,
-                              core::Bytes quantum, core::Bytes* deficit) {
+                              core::Bytes* deficit) {
+  // Occupancy is compared in grades of this many bytes, as real
+  // adaptive-routing ASICs compare coarse congestion levels rather than
+  // exact byte counts. Sub-grade transients (e.g. one in-flight packet of
+  // another traffic class) therefore cannot steer the spray, which keeps a
+  // prioritized collective's distribution independent of background phase
+  // — the isolation property §5.1 relies on. Genuine congestion
+  // (multi-packet queues) still redirects packets.
+  constexpr core::Bytes kSprayQuantum{8192};
   // Least-occupied candidate, with round-robin tie-breaking: when a drained
   // fabric leaves all queues equal, successive packets cycle through the
   // lanes, giving the near-perfect balance real APS hardware achieves
@@ -256,7 +261,7 @@ UplinkIndex pick_byte_deficit(const std::vector<std::unique_ptr<EgressPort>>& po
   std::uint64_t best_grade = std::numeric_limits<std::uint64_t>::max();
   core::Bytes best_deficit{std::numeric_limits<std::uint64_t>::max()};
   for (const UplinkIndex u : candidates) {
-    const std::uint64_t g = ports[u.v()]->queued_bytes_at_or_above(p.priority) / quantum;
+    const std::uint64_t g = ports[u.v()]->queued_bytes_at_or_above(p.priority) / kSprayQuantum;
     if (g > best_grade) continue;
     if (g < best_grade || deficit[u.v()] < best_deficit) {
       best_grade = g;

@@ -21,7 +21,6 @@ namespace flowpulse::net {
 
 /// Priority Flow Control parameters, applied per (ingress port, priority).
 struct PfcConfig {
-  bool enabled = true;
   core::Bytes xoff_bytes{128 * 1024};  ///< pause upstream above this
   core::Bytes xon_bytes{96 * 1024};    ///< resume upstream below this
 };
@@ -85,13 +84,12 @@ class Switch : public Device {
 /// Congestion-graded byte-deficit spray, shared by the kAdaptive leaf and
 /// the three-level pod-spine. Picks among `candidates` (indices into
 /// `ports`) the least congestion grade, i.e. bytes queued at or above the
-/// packet's class in units of `quantum`; then the least bytes in
+/// packet's class in 8 KiB units (kSprayQuantum); then the least bytes in
 /// `deficit[u]`; then the earliest candidate. Charges the packet's bytes to
 /// the pick's deficit entry.
 [[nodiscard]] UplinkIndex pick_byte_deficit(
     const std::vector<std::unique_ptr<EgressPort>>& ports,
-    const std::vector<UplinkIndex>& candidates, const Packet& p, core::Bytes quantum,
-    core::Bytes* deficit);
+    const std::vector<UplinkIndex>& candidates, const Packet& p, core::Bytes* deficit);
 
 /// Leaf (top-of-rack) switch. Ports [0, hosts_per_leaf) face hosts; port
 /// hosts_per_leaf + u carries uplink u. Upstream traffic is sprayed per
@@ -107,8 +105,7 @@ class LeafSwitch final : public Switch {
 
   LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo& info,
              const RoutingState& routing, SprayPolicy spray, PfcConfig pfc,
-             LinkParams host_link, LinkParams fabric_link, sim::Rng rng,
-             core::Bytes spray_quantum_bytes);
+             LinkParams host_link, LinkParams fabric_link, sim::Rng rng);
 
   void receive(Packet p, PortIndex in_port) override;
 
@@ -133,14 +130,6 @@ class LeafSwitch final : public Switch {
   const RoutingState& routing_;
   SprayPolicy spray_;
   sim::Rng rng_;
-  /// kAdaptive compares occupancy in grades of this many bytes, as real
-  /// adaptive-routing ASICs compare coarse congestion levels rather than
-  /// exact byte counts. Sub-grade transients (e.g. one in-flight packet of
-  /// another traffic class) therefore cannot steer the spray, which keeps
-  /// a prioritized collective's distribution independent of background
-  /// phase — the isolation property §5.1 relies on. Genuine congestion
-  /// (multi-packet queues) still redirects packets.
-  core::Bytes spray_quantum_;
 
   /// kFlowlet: fixed-size flowlet table (collisions overwrite, as in real
   /// hardware tables) and the idle gap after which a flow may re-route.

@@ -21,14 +21,13 @@ std::vector<UplinkIndex> iota_candidates(std::uint32_t n) {
 
 PodSpineSwitch::PodSpineSwitch(sim::Simulator& simulator, std::uint32_t pod,
                                std::uint32_t index, const ThreeLevelInfo& info, PfcConfig pfc,
-                               LinkParams fabric_link, core::Bytes spray_quantum)
+                               LinkParams fabric_link)
     : Switch{simulator,
              "podspine" + std::to_string(pod) + "_" + std::to_string(index),
              info.leaves_per_pod + info.cores_per_group(), pfc},
       pod_{pod},
       index_{index},
       info_{info},
-      spray_quantum_{spray_quantum.v() == 0 ? core::Bytes{1} : spray_quantum},
       sent_bytes_(static_cast<std::size_t>(info.num_leaves()) * kNumPriorities *
                       info.cores_per_group(),
                   core::Bytes{}),
@@ -69,9 +68,7 @@ void PodSpineSwitch::receive(Packet p, PortIndex in_port) {
         &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
                       priority_index(p.priority)) *
                      info_.cores_per_group()];
-    out = up_ports_[pick_byte_deficit(up_ports_, spray_candidates_, p, spray_quantum_, deficit)
-                        .v()]
-              .get();
+    out = up_ports_[pick_byte_deficit(up_ports_, spray_candidates_, p, deficit).v()].get();
   }
   ++counters_.forwarded_packets;
   p.pfc_ingress = in_port;
@@ -102,14 +99,12 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
     // kAdaptive never draws from its spray RNG.
     leaves_.push_back(std::make_unique<LeafSwitch>(
         lane_for_pod(shape.pod_of_leaf(l)), l, leaf_tier_, routing_, SprayPolicy::kAdaptive,
-        config_.pfc, config_.host_link, config_.fabric_link, sim::Rng{config_.seed},
-        config_.spray_quantum_bytes));
+        config_.pfc, config_.host_link, config_.fabric_link, sim::Rng{config_.seed}));
   }
   for (std::uint32_t pod = 0; pod < shape.pods; ++pod) {
     for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
       pod_spines_.push_back(std::make_unique<PodSpineSwitch>(
-          lane_for_pod(pod), pod, s, config_.shape, config_.pfc, config_.fabric_link,
-          config_.spray_quantum_bytes));
+          lane_for_pod(pod), pod, s, config_.shape, config_.pfc, config_.fabric_link));
     }
   }
   for (const SpineId c : core::ids<SpineId>(shape.num_cores())) {

@@ -81,8 +81,7 @@ class PodSpineSwitch final : public Switch {
   using IngressHook = std::function<void(std::uint32_t /*core k*/, const Packet&)>;
 
   PodSpineSwitch(sim::Simulator& simulator, std::uint32_t pod, std::uint32_t index,
-                 const ThreeLevelInfo& info, PfcConfig pfc, LinkParams fabric_link,
-                 core::Bytes spray_quantum);
+                 const ThreeLevelInfo& info, PfcConfig pfc, LinkParams fabric_link);
 
   void receive(Packet p, PortIndex in_port) override;
 
@@ -103,7 +102,6 @@ class PodSpineSwitch final : public Switch {
   std::uint32_t pod_;
   std::uint32_t index_;
   const ThreeLevelInfo& info_;
-  core::Bytes spray_quantum_;
   std::vector<std::unique_ptr<EgressPort>> down_ports_;  // per local leaf
   std::vector<std::unique_ptr<EgressPort>> up_ports_;    // per core of the group
   std::vector<core::Bytes> sent_bytes_;  // [dst_leaf * prios + prio][core k]
@@ -122,7 +120,6 @@ struct ThreeLevelConfig {
   LinkParams host_link{core::GbitsPerSec{400.0}, sim::Time::nanoseconds(200)};
   LinkParams fabric_link{core::GbitsPerSec{400.0}, sim::Time::nanoseconds(200)};
   PfcConfig pfc{};
-  core::Bytes spray_quantum_bytes{8192};
   std::uint64_t seed = 0x5eed;
 };
 

@@ -16,7 +16,7 @@
 // core/trace.h so that sim (whose event lanes carry the sink pointer) can
 // depend on it without inverting the module DAG. This header re-exports
 // those names under obs:: and adds what only the observability layer
-// needs: the recorders, dump/config types, and env plumbing.
+// needs: the flight recorder, dump/config types, and env plumbing.
 //
 // In a trace-enabled build, events flow into the sim::Simulator's
 // installed TraceSink. The stock sink is obs::FlightRecorder, a
@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "core/thread_safety.h"
 #include "core/trace.h"
 
 namespace flowpulse::obs {
@@ -101,68 +100,6 @@ class FlightRecorder final : public TraceSink {
   std::uint64_t total_ = 0;
 };
 
-/// The cross-thread sink: a mutex-guarded ring for the cases where several
-/// threads must legitimately share ONE recorder — today a harness watching
-/// every worker of a parallel trial sweep, tomorrow the independently-
-/// clocked event lanes of the sharded core (ROADMAP item 1). Sink
-/// *registration* stays single-owner (install on a sim::Simulator before
-/// its run starts, per set_trace()'s contract); what this class serializes
-/// is emission. The per-simulation default is still FlightRecorder: one
-/// lane, no lock, deterministic order. A shared ring is ordered by lock
-/// acquisition, so only its counters — not its interleaving — are
-/// deterministic; anything that feeds results must keep using per-lane
-/// recorders. All shared state is FP_GUARDED_BY(mu_), so an unlocked
-/// fast-path "optimization" is a compile error under -Werror=thread-safety.
-class ConcurrentRecorder final : public TraceSink {
- public:
-  explicit ConcurrentRecorder(std::size_t capacity = FlightRecorder::kDefaultCapacity)
-      : ring_(capacity == 0 ? 1 : capacity) {}
-
-  /// Events ever emitted at an admitted level (recorded or overwritten).
-  [[nodiscard]] std::uint64_t total() const {
-    const core::LockGuard lock{mu_};
-    return total_;
-  }
-  [[nodiscard]] std::uint64_t dropped() const {
-    const core::LockGuard lock{mu_};
-    return total_ > ring_.size() ? total_ - ring_.size() : 0;
-  }
-  [[nodiscard]] std::size_t capacity() const {
-    const core::LockGuard lock{mu_};
-    return ring_.size();
-  }
-
-  /// Chronological-by-admission copy of the retained window (oldest first).
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const {
-    const core::LockGuard lock{mu_};
-    const std::size_t n =
-        total_ < ring_.size() ? static_cast<std::size_t>(total_) : ring_.size();
-    const std::size_t start =
-        total_ > ring_.size() ? static_cast<std::size_t>(total_ % ring_.size()) : 0;
-    std::vector<TraceEvent> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(ring_[(start + i) % ring_.size()]);
-    return out;
-  }
-
-  void clear() {
-    const core::LockGuard lock{mu_};
-    total_ = 0;
-  }
-
- protected:
-  void record(const TraceEvent& e) override {
-    const core::LockGuard lock{mu_};
-    ring_[static_cast<std::size_t>(total_ % ring_.size())] = e;
-    ++total_;
-  }
-
- private:
-  mutable core::Mutex mu_;
-  std::vector<TraceEvent> ring_ FP_GUARDED_BY(mu_);
-  std::uint64_t total_ FP_GUARDED_BY(mu_) = 0;
-};
-
 /// One automatic flight-recorder dump: the retained event window at the
 /// moment something was flagged, plus why it was taken.
 struct TraceDump {
@@ -178,8 +115,6 @@ struct TraceConfig {
   /// kOff defers to the FLOWPULSE_TRACE environment variable (env_level()).
   TraceLevel level = TraceLevel::kOff;
   std::size_t capacity = FlightRecorder::kDefaultCapacity;
-  bool dump_on_alert = true;   ///< snapshot on flagged / mitigated iterations
-  std::uint32_t max_dumps = 8; ///< cap on automatic snapshots per run
 };
 
 /// Runtime opt-in for trace-enabled builds: FLOWPULSE_TRACE=1|on|events →

@@ -81,7 +81,7 @@ void Transport::transmit_segment(SendState& st, std::uint32_t seq) {
 
 sim::Time Transport::effective_rto() const {
   if (!config_.adaptive_rto) return config_.rto;
-  if (srtt_ == sim::Time::zero()) return config_.rto * config_.initial_rto_multiplier;
+  if (srtt_ == sim::Time::zero()) return config_.rto * kInitialRtoMultiplier;
   const sim::Time adaptive = srtt_ + 4 * rttvar_;
   return adaptive > config_.rto ? adaptive : config_.rto;
 }
@@ -91,7 +91,9 @@ void Transport::on_wire(const net::Packet& p) {
   SendState* st = in_flight(p.msg_id);
   if (st == nullptr || st->segments[p.seq].acked) return;
   st->segments[p.seq].wire_time = sim_.now();
-  const int shift = std::min<int>(p.retx, config_.max_backoff_shift);
+  // RTO for attempt k: rto << min(k, kMaxBackoffShift).
+  constexpr int kMaxBackoffShift = 6;
+  const int shift = std::min<int>(p.retx, kMaxBackoffShift);
   const sim::Time timeout = sim::Time::picoseconds(effective_rto().ps() << shift);
   const std::uint8_t attempt = p.retx;
   const std::uint64_t msg_id = p.msg_id;

@@ -31,13 +31,6 @@ struct TransportConfig {
   /// Adapt the RTO to measured RTT. Disable to reproduce a fixed-RTO NIC
   /// exactly (at the cost of spurious retransmissions under congestion).
   bool adaptive_rto = true;
-  /// Until the first RTT sample, be conservative: floor × this multiplier
-  /// (RFC 6298 starts at a full second for the same reason — before any
-  /// sample, a timeout firing below the true RTT turns congestion into a
-  /// duplicate storm). 100 × 5 µs = 500 µs comfortably covers even incast
-  /// queueing at 400 Gbps.
-  int initial_rto_multiplier = 100;
-  int max_backoff_shift = 6;               ///< RTO for attempt k: rto << min(k, shift)
   std::uint32_t window = 64;               ///< max unacked segments in flight
 };
 
@@ -86,6 +79,13 @@ struct TransportStats {
 /// which is what makes delivery exactly-once.
 class Transport {
  public:
+  /// Until the first RTT sample, be conservative: the RTO floor × this
+  /// multiplier (RFC 6298 starts at a full second for the same reason —
+  /// before any sample, a timeout firing below the true RTT turns congestion
+  /// into a duplicate storm). 100 × 5 µs = 500 µs comfortably covers even
+  /// incast queueing at 400 Gbps.
+  static constexpr int kInitialRtoMultiplier = 100;
+
   using SendCompleteFn = std::function<void(std::uint64_t msg_id)>;
   using RecvHandler = std::function<void(const RecvInfo&)>;
 

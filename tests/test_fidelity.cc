@@ -117,7 +117,7 @@ TEST(StreamingDetector, FlagsShortfallWhereWindowedReferenceDoes) {
   for (const double x : history) var += (x - mean) * (x - mean);
   var /= static_cast<double>(history.size());
   const double ref_z = (faulty - mean) / std::sqrt(var);
-  ASSERT_LT(ref_z, -cfg.z_threshold) << "reference would not flag this drop";
+  ASSERT_LT(ref_z, -StreamingDetector::kZThreshold) << "reference would not flag this drop";
 
   const DetectionResult r = det.observe(make_record(30, faulty, 1e6));
   ASSERT_TRUE(r.faulty());
@@ -197,26 +197,37 @@ TEST(FastForwardModel, StationaryDropAndDuty) {
 }
 
 TEST(FastForwardModel, NoiselessSynthesisMatchesAnalyticalPrediction) {
-  exp::ScenarioConfig cfg = testing::golden_scenario_config();
-  cfg.new_faults.clear();
-  exp::Scenario scenario{cfg};
+  // No known failure, the golden's one, and one more: the baseline must be
+  // the scenario's own analytical prediction, bit for bit.
+  const exp::ScenarioConfig golden = testing::golden_scenario_config();
+  std::vector<decltype(golden.preexisting)> cases{{}, golden.preexisting, golden.preexisting};
+  cases[2].emplace_back(net::LeafId{6}, net::UplinkIndex{0});
+  for (const auto& preexisting : cases) {
+    SCOPED_TRACE(::testing::Message() << preexisting.size() << " known failures");
+    exp::ScenarioConfig cfg = golden;
+    cfg.new_faults.clear();
+    cfg.preexisting = preexisting;
+    exp::Scenario scenario{cfg};
 
-  fp::FastForwardModel::Config ffc;
-  ffc.mtu_payload = cfg.transport.mtu_payload;
-  ffc.header_bytes = net::kHeaderBytes;
-  ffc.noise_rel = 0.0;
-  fp::FastForwardModel ff{cfg.fabric.shape, ffc};
-  ff.rebaseline(scenario.demand(), scenario.fabric().routing());
+    fp::FastForwardModel::Config ffc;
+    ffc.mtu_payload = cfg.transport.mtu_payload;
+    ffc.header_bytes = net::kHeaderBytes;
+    ffc.noise_rel = 0.0;
+    fp::FastForwardModel ff{cfg.fabric.shape, ffc};
+    ff.rebaseline(scenario.demand(), scenario.fabric().routing());
 
-  const fp::PortLoadMap* prediction = scenario.prediction();
-  ASSERT_NE(prediction, nullptr);
-  for (const net::LeafId l : core::ids<net::LeafId>(cfg.fabric.shape.leaves)) {
-    const IterationRecord rec =
-        ff.synthesize(l, net::IterIndex{0}, sim::Time::zero(), sim::Time::microseconds(50));
-    for (const net::UplinkIndex u :
-         core::ids<net::UplinkIndex>(cfg.fabric.shape.uplinks_per_leaf())) {
-      EXPECT_NEAR(rec.bytes[u.v()], prediction->at(l, u).total,
-                  1e-6 * (prediction->at(l, u).total + 1.0));
+    const fp::PortLoadMap* prediction = scenario.prediction();
+    ASSERT_NE(prediction, nullptr);
+    for (const net::LeafId l : core::ids<net::LeafId>(cfg.fabric.shape.leaves)) {
+      const IterationRecord rec =
+          ff.synthesize(l, net::IterIndex{0}, sim::Time::zero(), sim::Time::microseconds(50));
+      for (const net::UplinkIndex u :
+           core::ids<net::UplinkIndex>(cfg.fabric.shape.uplinks_per_leaf())) {
+        EXPECT_EQ(ff.baseline().at(l, u).total, prediction->at(l, u).total);
+        EXPECT_EQ(ff.baseline().at(l, u).by_src_leaf, prediction->at(l, u).by_src_leaf);
+        EXPECT_NEAR(rec.bytes[u.v()], prediction->at(l, u).total,
+                    1e-6 * (prediction->at(l, u).total + 1.0));
+      }
     }
   }
 }

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "json_check.h"
@@ -99,51 +98,6 @@ TEST(FlightRecorder, ZeroCapacityClampsToOne) {
   rec.emit(EventKind::kRtoFire, sim::Time::zero(), "", 4, 5, 6, 0.0, "");
   ASSERT_EQ(rec.snapshot().size(), 1u);
   EXPECT_EQ(rec.snapshot()[0].a, 4u);
-}
-
-// ---------------------------------------------------------------------------
-// ConcurrentRecorder: the mutex-guarded sibling for multi-lane sharing
-// ---------------------------------------------------------------------------
-
-TEST(ConcurrentRecorder, MatchesFlightRecorderRingSemantics) {
-  ConcurrentRecorder rec{4};
-  rec.set_level(TraceLevel::kEvents);
-  for (std::uint64_t n = 0; n < 11; ++n) {
-    rec.emit(EventKind::kPacketDrop, sim::Time::microseconds(static_cast<std::int64_t>(n)),
-             "", 0, 0, n, 0.0, "");
-  }
-  EXPECT_EQ(rec.total(), 11u);
-  EXPECT_EQ(rec.dropped(), 7u);
-  const std::vector<TraceEvent> snap = rec.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(snap[i].value, 7 + i);
-  rec.clear();
-  EXPECT_EQ(rec.total(), 0u);
-  EXPECT_TRUE(rec.snapshot().empty());
-}
-
-TEST(ConcurrentRecorder, CountsAreExactUnderConcurrentEmit) {
-  // Interleaving is nondeterministic; the counters must not be. Every emit
-  // is admitted under the lock, so total() is exactly threads × events and
-  // the retained window is exactly the capacity — lost updates would show
-  // up as a shortfall here (and as a TSan report on the tsan leg).
-  constexpr std::uint64_t kThreads = 4;
-  constexpr std::uint64_t kEvents = 2000;
-  ConcurrentRecorder rec{64};
-  rec.set_level(TraceLevel::kEvents);
-  std::vector<std::thread> workers;
-  for (std::uint64_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&rec, t] {
-      for (std::uint64_t n = 0; n < kEvents; ++n) {
-        rec.emit(EventKind::kPacketDrop, sim::Time::zero(), "lane",
-                 static_cast<std::uint32_t>(t), 0, n, 0.0, "");
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(rec.total(), kThreads * kEvents);
-  EXPECT_EQ(rec.dropped(), kThreads * kEvents - 64);
-  EXPECT_EQ(rec.snapshot().size(), 64u);
 }
 
 TEST(FlightRecorder, ClearResetsWindow) {

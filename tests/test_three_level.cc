@@ -9,6 +9,7 @@
 #include "collective/runner.h"
 #include "core/strong_id.h"
 #include "exp/clos_scenario.h"
+#include "exp/scenario.h"
 #include "flowpulse/three_level_system.h"
 #include "net/three_level.h"
 #include "sim/simulator.h"
@@ -151,6 +152,62 @@ TEST(ThreeLevel, KnownDisconnectAvoidedEndToEnd) {
 }
 
 // ---------------------------------------------------------------------------
+// Two-tier analytical model
+// ---------------------------------------------------------------------------
+
+// {2 pods, 2 leaves per pod, 2 spines per pod, 2 hosts per leaf}: leaf l
+// holds hosts 2l and 2l+1, pod 0 is leaves 0-1, and each pod-spine index
+// leads to a group of 2 cores. Every pair sends 4 full 4096 B segments, so
+// 4 × (4096 + 64) = 16640 wire bytes. The known failure cuts leaf 0 from
+// its pod's spine 0, which leaves pairs from leaf 0 one valid spine index.
+TEST(ThreeLevelAnalyticalModel, HandComputedTiersPerPair) {
+  const ThreeLevelInfo info{2, 2, 2, 2};
+  const fp::ThreeLevelAnalyticalModel model{info, 4096, core::Bytes{64}};
+  auto predict = [&](HostId src, HostId dst, bool failed) {
+    RoutingState routing{info.num_leaves(), info.spines_per_pod};
+    if (failed) routing.set_known_failed(LeafId{0}, UplinkIndex{0});
+    collective::DemandMatrix demand{info.num_hosts()};
+    demand.add(src, dst, core::Bytes{4 * 4096});
+    return model.predict(demand, routing);
+  };
+  for (const bool failed : {false, true}) {
+    SCOPED_TRACE(failed ? "leaf 0 - spine 0 known failed" : "fault-free");
+    // Fault-free: 16640 / 2 spines = 8320 per spine, / 2 cores = 4160.
+    // Failed: all 16640 on spine 1, 8320 per core.
+    const double spine0 = failed ? 0.0 : 8320.0;
+    const double spine1 = failed ? 16640.0 : 8320.0;
+
+    // Cross-pod, host 0 (leaf 0, pod 0) → host 4 (leaf 2, pod 1): both
+    // tiers of pod 1 carry the whole pair.
+    const fp::ThreeLevelPrediction cross = predict(HostId{0}, HostId{4}, failed);
+    EXPECT_DOUBLE_EQ(cross.leaf_level.total(), 16640.0);
+    EXPECT_DOUBLE_EQ(cross.spine_level.total(), 16640.0);
+    EXPECT_DOUBLE_EQ(cross.leaf_level.at(LeafId{2}, UplinkIndex{0}).by_src_leaf[0], spine0);
+    EXPECT_DOUBLE_EQ(cross.leaf_level.at(LeafId{2}, UplinkIndex{1}).by_src_leaf[0], spine1);
+    for (const UplinkIndex k : core::ids<UplinkIndex>(2)) {
+      // Pod 1's pod-spines are rows 2 (index 0) and 3 (index 1).
+      EXPECT_DOUBLE_EQ(cross.spine_level.at(LeafId{2}, k).by_src_leaf[0], spine0 / 2);
+      EXPECT_DOUBLE_EQ(cross.spine_level.at(LeafId{3}, k).by_src_leaf[0], spine1 / 2);
+      EXPECT_DOUBLE_EQ(cross.spine_level.at(LeafId{3}, k).total, spine1 / 2);
+    }
+
+    // Same pod, host 1 (leaf 0) → host 2 (leaf 1): turns around at the
+    // pod-spine, so the core tier sees nothing.
+    const fp::ThreeLevelPrediction same_pod = predict(HostId{1}, HostId{2}, failed);
+    EXPECT_DOUBLE_EQ(same_pod.leaf_level.total(), 16640.0);
+    EXPECT_DOUBLE_EQ(same_pod.spine_level.total(), 0.0);
+    EXPECT_DOUBLE_EQ(same_pod.leaf_level.at(LeafId{1}, UplinkIndex{0}).by_src_leaf[0], spine0);
+    EXPECT_DOUBLE_EQ(same_pod.leaf_level.at(LeafId{1}, UplinkIndex{1}).by_src_leaf[0], spine1);
+    EXPECT_DOUBLE_EQ(same_pod.leaf_level.at(LeafId{1}, UplinkIndex{1}).total, spine1);
+
+    // Same leaf, host 0 → host 1: never leaves leaf 0.
+    const fp::ThreeLevelPrediction local = predict(HostId{0}, HostId{1}, failed);
+    EXPECT_DOUBLE_EQ(local.leaf_level.total(), 0.0);
+    EXPECT_DOUBLE_EQ(local.spine_level.total(), 0.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end with collectives + two-tier FlowPulse
 // ---------------------------------------------------------------------------
 
@@ -198,6 +255,32 @@ constexpr std::array<ThreeLevelInfo, 5> kTierShapes{
 ::testing::Message shape_name(const ThreeLevelInfo& shape) {
   return ::testing::Message() << shape.pods << "x" << shape.leaves_per_pod << "x"
                               << shape.spines_per_pod;
+}
+
+TEST(ThreeLevelAnalyticalModel, LeafTierIsTheTwoLevelModel) {
+  for (const ThreeLevelInfo& shape : kTierShapes) {
+    SCOPED_TRACE(shape_name(shape));
+    const std::uint32_t hosts = shape.num_hosts();
+    // Not a multiple of the MTU, so pair demands end in short segments.
+    const auto demand = collective::DemandMatrix::from_schedule(
+        collective::ring_reduce_scatter(hosts, core::Bytes{1'000'003}),
+        exp::all_hosts_ring(shape.leaf_tier()), hosts);
+    RoutingState routing{shape.num_leaves(), shape.spines_per_pod};
+    routing.set_known_failed(LeafId{1}, UplinkIndex{0});
+
+    const fp::ThreeLevelPrediction three =
+        fp::ThreeLevelAnalyticalModel{shape, 4096, kHeaderBytes}.predict(demand, routing);
+    const fp::PortLoadMap two =
+        fp::AnalyticalModel{shape.leaf_tier(), 4096, kHeaderBytes}.predict(demand, routing);
+    ASSERT_EQ(three.leaf_level.leaves(), two.leaves());
+    ASSERT_EQ(three.leaf_level.uplinks(), two.uplinks());
+    for (const LeafId l : core::ids<LeafId>(two.leaves())) {
+      for (const UplinkIndex u : core::ids<UplinkIndex>(two.uplinks())) {
+        EXPECT_EQ(three.leaf_level.at(l, u).total, two.at(l, u).total);
+        EXPECT_EQ(three.leaf_level.at(l, u).by_src_leaf, two.at(l, u).by_src_leaf);
+      }
+    }
+  }
 }
 
 TEST(ThreeLevelFlowPulse, CleanRunQuietAtBothTiers) {

@@ -265,7 +265,7 @@ TEST(Transport, RttEstimatorConvergesAndBoundsRto) {
   EXPECT_EQ(rig.transports.at(net::HostId{0}).srtt(), Time::zero());
   // Before any sample: conservative initial RTO.
   EXPECT_EQ(rig.transports.at(net::HostId{0}).effective_rto(),
-            rig.transports.at(net::HostId{0}).config().rto * rig.transports.at(net::HostId{0}).config().initial_rto_multiplier);
+            rig.transports.at(net::HostId{0}).config().rto * Transport::kInitialRtoMultiplier);
   rig.transports.at(net::HostId{0}).send_message(MessageSpec{net::HostId{3}, core::Bytes{256 * 1024}, 0xd, net::Priority::kCollective});
   rig.sim.run();
   EXPECT_EQ(done, 1);
