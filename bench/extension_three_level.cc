@@ -9,6 +9,9 @@
 // full rate at the spine tier but only a 1/K-diluted echo at the leaf tier
 // — exactly why the paper proposes deploying monitors at both levels.
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "bench_common.h"
 #include "collective/runner.h"
@@ -26,13 +29,32 @@ struct Result {
   std::string leaf_verdict, spine_verdict;
 };
 
+/// Name every distinct (row, port) of the tier that fell short, in (row,
+/// port) order; without one, just whether the tier deviated.
+std::string verdict(double max_dev, const std::vector<fp::DetectionResult>& faulty,
+                    const std::string& row_name, const std::string& port_name) {
+  std::set<std::pair<std::uint32_t, std::uint32_t>> short_ports;
+  for (const auto& dr : faulty) {
+    for (const auto& a : dr.alerts) {
+      if (a.observed < a.predicted) short_ports.emplace(dr.leaf.v(), a.uplink.v());
+    }
+  }
+  if (short_ports.empty()) return max_dev > 0.01 ? "FAULT" : "ok";
+  std::string out;
+  for (const auto& [row, port] : short_ports) {
+    out += out.empty() ? "FAULT @ " : ", ";
+    out += row_name + " " + std::to_string(row) + " / " + port_name + " " + std::to_string(port);
+  }
+  return out;
+}
+
 Result run_case(int fault_tier, double drop) {
   sim::Simulator sim{21};
   net::ThreeLevelConfig cfg;
   cfg.shape = net::ThreeLevelInfo{4, 4, 4, 1};  // 16 leaves, 16 pod-spines, 16 cores
   net::ThreeLevelFatTree net{sim, cfg};
   transport::TransportLayer transports{sim, net};
-  fp::ThreeLevelFlowPulse fps{net, 0.01};
+  fp::ThreeLevelFlowPulse fps{net};
 
   collective::CollectiveConfig cc;
   for (const net::HostId h : core::ids<net::HostId>(net.num_hosts())) {
@@ -63,29 +85,15 @@ Result run_case(int fault_tier, double drop) {
   fps.flush();
 
   Result r;
-  for (const double d : fps.leaf_iteration_max_dev()) r.leaf_dev = std::max(r.leaf_dev, d);
-  for (const double d : fps.spine_iteration_max_dev()) {
+  for (const double d : fps.leaf_tier().per_iteration_max_dev()) {
+    r.leaf_dev = std::max(r.leaf_dev, d);
+  }
+  for (const double d : fps.spine_tier().per_iteration_max_dev()) {
     r.spine_dev = std::max(r.spine_dev, d);
   }
-  r.leaf_verdict = r.leaf_dev > 0.01 ? "FAULT" : "ok";
-  r.spine_verdict = r.spine_dev > 0.01 ? "FAULT" : "ok";
-  // Name the alerted link at the owning tier.
-  for (const auto& dr : fps.faulty_leaf_results()) {
-    for (const auto& a : dr.alerts) {
-      if (a.observed < a.predicted) {
-        r.leaf_verdict = "FAULT @ leaf " + std::to_string(dr.leaf.v()) + " / spine idx " +
-                         std::to_string(a.uplink.v());
-      }
-    }
-  }
-  for (const auto& dr : fps.faulty_spine_results()) {
-    for (const auto& a : dr.alerts) {
-      if (a.observed < a.predicted) {
-        r.spine_verdict = "FAULT @ podspine " + std::to_string(dr.leaf.v()) + " / core " +
-                          std::to_string(a.uplink.v());
-      }
-    }
-  }
+  r.leaf_verdict = verdict(r.leaf_dev, fps.leaf_tier().faulty_results(), "leaf", "spine idx");
+  r.spine_verdict =
+      verdict(r.spine_dev, fps.spine_tier().faulty_results(), "podspine", "core");
   return r;
 }
 

@@ -307,7 +307,7 @@ BENCHMARK(BM_AnalyticalPredict);
 void BM_MonitorRecord(benchmark::State& state) {
   // The per-packet cost a programmable switch pays: one filter + two adds.
   const net::TopologyInfo info{32, 16, 1, 1};
-  fp::PortMonitor mon{net::LeafId{5}, info};
+  fp::PortMonitor mon{net::LeafId{5}, fp::Tier::leaves_of(info)};
   net::Packet p;
   p.flow_id = net::flowid::make_collective(net::IterIndex{0});
   p.src = net::HostId{4};

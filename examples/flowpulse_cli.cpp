@@ -1,9 +1,9 @@
 // flowpulse_cli: run an arbitrary FlowPulse scenario from the command line
 // and optionally export machine-readable results — the "operator tool"
-// packaging of the library.
+// packaging of the library. Example, one command line wrapped:
 //
-//   $ ./flowpulse_cli --leaves=32 --spines=16 --bytes=48000000 --iters=4 \
-//                     --fault-leaf=12 --fault-spine=5 --drop=0.015 \
+//   $ ./flowpulse_cli --leaves=32 --spines=16 --bytes=48000000 --iters=4
+//                     --fault-leaf=12 --fault-spine=5 --drop=0.015
 //                     --json=run.json --alerts=alerts.json --csv=devs.csv
 //
 // Run with --help for all flags.

@@ -15,7 +15,8 @@ DaemonEngine::DaemonEngine(const EngineConfig& config) : config_{config} {
   // The detection core over the bare topology view: full-fabric indices so
   // PortLoadMap predictions install unchanged on every shard; only the
   // owned leaf range ever sees counters.
-  system_ = std::make_unique<fp::FlowPulseSystem>(config_.topo, config_.system);
+  system_ = std::make_unique<fp::FlowPulseSystem>(fp::Tier::leaves_of(config_.topo),
+                                                   config_.system);
   system_->set_alert_hook([this](const fp::DetectionResult& r) {
     accumulator_.fold(r);
     stats_.alerts = accumulator_.faulty_results();

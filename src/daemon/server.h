@@ -7,7 +7,7 @@
 // it is small and why the interesting logic is testable without it.
 //
 // src/daemon is the repo's one sanctioned realtime module (see
-// tools/detlint.py): fds, epoll and OS I/O are legitimate here and only
+// tools/fplint): fds, epoll and OS I/O are legitimate here and only
 // here — the simulation core stays deterministic.
 
 #include <cstdint>

@@ -52,9 +52,7 @@ void ClosScenario::build() {
 
   transports_ = std::make_unique<transport::TransportLayer>(*lanes_.front(), *fabric_,
                                                             config_.transport);
-  // Detection threshold for both monitored tiers.
-  constexpr double kThreshold = 0.01;
-  flowpulse_ = std::make_unique<fp::ThreeLevelFlowPulse>(*fabric_, kThreshold);
+  flowpulse_ = std::make_unique<fp::ThreeLevelFlowPulse>(*fabric_);
 
   collective::CollectiveConfig cc;
   cc.hosts = all_hosts_ring(fabric_->info().leaf_tier());
@@ -97,10 +95,10 @@ ClosScenarioResult ClosScenario::run() {
   ClosScenarioResult r;
   r.laned = lane_runner_ != nullptr;
   r.lanes = static_cast<std::uint32_t>(lanes_.size());
-  r.leaf_iteration_max_dev = flowpulse_->leaf_iteration_max_dev();
-  r.spine_iteration_max_dev = flowpulse_->spine_iteration_max_dev();
-  r.faulty_leaves = flowpulse_->faulty_leaf_results();
-  r.faulty_spines = flowpulse_->faulty_spine_results();
+  r.leaf_iteration_max_dev = flowpulse_->leaf_tier().per_iteration_max_dev();
+  r.spine_iteration_max_dev = flowpulse_->spine_tier().per_iteration_max_dev();
+  r.faulty_leaves = flowpulse_->leaf_tier().faulty_results();
+  r.faulty_spines = flowpulse_->spine_tier().faulty_results();
   r.fabric_counters = fabric_->total_fabric_counters();
   // Laned lanes settle to a common clock; lane 0 always holds the latest.
   r.sim_end = lanes_.front()->now();

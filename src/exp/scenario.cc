@@ -154,8 +154,9 @@ void Scenario::build() {
       prediction_ = std::make_unique<fp::PortLoadMap>(simulation_prediction());
       flowpulse_->set_prediction(*prediction_);
       break;
-    case fp::ModelKind::kLearned:
-      break;  // the system learns in-band
+    case fp::ModelKind::kLearned:  // the system learns in-band
+    case fp::ModelKind::kDynamic:  // the provider predicts per iteration
+      break;
   }
 
   // The hybrid engine needs a fixed model to synthesize against and owns

@@ -7,10 +7,10 @@ namespace flowpulse::fp {
 void PortMonitor::begin_iteration(net::IterIndex iteration) {
   current_ = iteration;
   accum_ = IterationRecord{};
-  accum_.leaf = net::LeafId{id_};
+  accum_.leaf = row_;
   accum_.iteration = iteration;
-  accum_.bytes.assign(ports_, 0.0);
-  accum_.by_src.assign(ports_, std::vector<double>(leaves_, 0.0));
+  accum_.bytes.assign(tier_.ports, 0.0);
+  accum_.by_src.assign(tier_.ports, std::vector<double>(tier_.senders, 0.0));
 }
 
 void PortMonitor::record(net::UplinkIndex port, const net::Packet& p) {
@@ -32,7 +32,7 @@ void PortMonitor::record(net::UplinkIndex port, const net::Packet& p) {
   // already closed their iteration and cannot rewrite history.
 
   accum_.bytes[port.v()] += p.size_bytes.dbl();
-  accum_.by_src[port.v()][p.src.v() / hosts_per_leaf_] += p.size_bytes.dbl();
+  accum_.by_src[port.v()][p.src.v() / tier_.hosts_per_sender] += p.size_bytes.dbl();
   accum_.packets += 1;
 #if FP_AUDIT_ENABLED
   audit_bytes_[port.v()] += p.size_bytes.v();

@@ -24,6 +24,21 @@ struct IterationRecord {
   std::uint64_t packets = 0;
 };
 
+/// Shape of one monitored tier: `rows` switches each watch `ports` ingress
+/// ports and attribute every packet to one of `senders` sending switches,
+/// sender = src host / hosts_per_sender.
+struct Tier {
+  std::uint32_t rows = 0;
+  std::uint32_t ports = 0;
+  std::uint32_t senders = 0;
+  std::uint32_t hosts_per_sender = 1;
+
+  /// A 2-level fabric's leaves, which watch their uplinks and also send.
+  [[nodiscard]] static constexpr Tier leaves_of(const net::TopologyInfo& topo) {
+    return {topo.leaves, topo.uplinks_per_leaf(), topo.leaves, topo.hosts_per_leaf};
+  }
+};
+
 /// In-switch measurement (paper §5.1): counts the wire bytes of tagged
 /// collective data packets arriving on each monitored ingress port,
 /// delimiting iterations by the iteration number embedded in flow_id.
@@ -41,19 +56,11 @@ class PortMonitor {
  public:
   using FinalizeHook = std::function<void(const IterationRecord&)>;
 
-  /// Leaf-switch deployment on a 2-level fat tree.
-  PortMonitor(net::LeafId leaf, const net::TopologyInfo& info, std::uint16_t job = 0)
-      : PortMonitor(leaf.v(), info.uplinks_per_leaf(), info.leaves, info.hosts_per_leaf, job) {
-  }
-
-  /// Generic deployment: `id` names the monitored switch, `ports` is how
-  /// many ingress ports it watches, senders are attributed to leaves via
-  /// src_host / hosts_per_leaf over `leaves` leaves.
-  PortMonitor(std::uint32_t id, std::uint32_t ports, std::uint32_t leaves,
-              std::uint32_t hosts_per_leaf, std::uint16_t job = 0)
-      : id_{id}, ports_{ports}, leaves_{leaves}, hosts_per_leaf_{hosts_per_leaf}, job_{job} {
+  /// Monitor `row` of `tier`.
+  PortMonitor(net::LeafId row, const Tier& tier, std::uint16_t job = 0)
+      : row_{row}, tier_{tier}, job_{job} {
 #if FP_AUDIT_ENABLED
-    audit_bytes_.assign(ports_, 0);
+    audit_bytes_.assign(tier_.ports, 0);
 #endif
   }
 
@@ -72,7 +79,7 @@ class PortMonitor {
   void set_finalize_hook(FinalizeHook hook) { finalize_hook_ = std::move(hook); }
 
   [[nodiscard]] const std::vector<IterationRecord>& history() const { return history_; }
-  [[nodiscard]] net::LeafId leaf() const { return net::LeafId{id_}; }
+  [[nodiscard]] net::LeafId leaf() const { return row_; }
   [[nodiscard]] bool accumulating() const { return current_.has_value(); }
 
 #if FP_AUDIT_ENABLED
@@ -88,10 +95,8 @@ class PortMonitor {
   void begin_iteration(net::IterIndex iteration);
   void finalize();
 
-  std::uint32_t id_;
-  std::uint32_t ports_;
-  std::uint32_t leaves_;
-  std::uint32_t hosts_per_leaf_;
+  net::LeafId row_;
+  Tier tier_;
   std::uint16_t job_;
   std::optional<net::IterIndex> current_;
   IterationRecord accum_;

@@ -5,30 +5,29 @@
 namespace flowpulse::fp {
 
 FlowPulseSystem::FlowPulseSystem(net::FatTree& fabric, SystemConfig config)
-    : FlowPulseSystem(fabric.info(), config) {
+    : FlowPulseSystem(Tier::leaves_of(fabric.info()), config) {
   fabric_ = &fabric;
-  for (const net::LeafId l : core::ids<net::LeafId>(topo_.leaves)) {
+  for (const net::LeafId l : core::ids<net::LeafId>(tier_.rows)) {
     monitors_[l.v()]->attach(fabric.leaf(l));
   }
 }
 
-FlowPulseSystem::FlowPulseSystem(const net::TopologyInfo& topo, SystemConfig config)
-    : topo_{topo}, config_{config} {
-  monitors_.reserve(topo_.leaves);
-  for (const net::LeafId l : core::ids<net::LeafId>(topo_.leaves)) {
-    monitors_.push_back(std::make_unique<PortMonitor>(l, topo_, config_.job));
+FlowPulseSystem::FlowPulseSystem(const Tier& tier, SystemConfig config)
+    : tier_{tier}, config_{config} {
+  monitors_.reserve(tier_.rows);
+  for (const net::LeafId l : core::ids<net::LeafId>(tier_.rows)) {
+    monitors_.push_back(std::make_unique<PortMonitor>(l, tier_, config_.job));
     monitors_.back()->set_finalize_hook([this](const IterationRecord& r) {
       // Deferred (sharded-lane) mode: the monitor just recorded into its
       // per-lane history; evaluation waits for the coordinator's flush().
       if (!deferred_) on_finalized(r);
     });
     if (config_.model == ModelKind::kLearned) {
-      learned_.push_back(
-          std::make_unique<LearnedModel>(topo_.uplinks_per_leaf(), config_.learned));
+      learned_.push_back(std::make_unique<LearnedModel>(tier_.ports, config_.learned));
     }
     if (config_.detector == DetectorKind::kStreaming) {
-      streaming_.push_back(std::make_unique<StreamingDetector>(
-          l, topo_.uplinks_per_leaf(), topo_.leaves, StreamingConfig{}));
+      streaming_.push_back(std::make_unique<StreamingDetector>(l, tier_.ports, tier_.senders,
+                                                               StreamingConfig{}));
     }
   }
 }
@@ -121,9 +120,8 @@ void FlowPulseSystem::flush() {
   // meaningful with an attached fabric: the transport-agnostic mode has no
   // switch-side ledger to reconcile against.
   if (fabric_ == nullptr) return;
-  const net::TopologyInfo& info = topo_;
-  for (const net::LeafId l : core::ids<net::LeafId>(info.leaves)) {
-    for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(info.uplinks_per_leaf())) {
+  for (const net::LeafId l : core::ids<net::LeafId>(tier_.rows)) {
+    for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(tier_.ports)) {
       const std::uint64_t monitored = monitors_[l.v()]->audit_bytes(u);
       const std::uint64_t delivered =
           fabric_->audit_downlink_tagged_bytes(l, u, config_.job).v();

@@ -37,9 +37,10 @@ struct SystemConfig {
   DetectorKind detector = DetectorKind::kThreshold;
 };
 
-/// The deployed FlowPulse system: one PortMonitor per leaf switch, each
-/// independently comparing its finalized iterations against the model —
-/// no inter-switch coordination, exactly as in the paper.
+/// The deployed FlowPulse system: one PortMonitor per monitored switch (a
+/// row of its Tier), each independently comparing its finalized iterations
+/// against the model — no inter-switch coordination, exactly as in the
+/// paper.
 ///
 /// For kAnalytical / kSimulation, install the prediction with
 /// set_prediction() before the run; every finalized iteration is evaluated
@@ -49,19 +50,24 @@ struct SystemConfig {
 /// Two deployments share this class:
 ///  * simulator-attached (FatTree ctor): monitors tap every leaf switch's
 ///    spine ingress and finalize iterations as simulated packets arrive;
-///  * transport-agnostic (TopologyInfo ctor): no fabric, no simulator —
-///    finalized IterationRecords arrive solely through ingest(). This is
-///    what `flowpulsed` runs: the detection core needs only the minimal
-///    topology view (leaf count, uplinks per leaf, spine_of), so any
-///    substrate — simulator, wire protocol, replay file — can feed it.
+///  * transport-agnostic (Tier ctor): no fabric, no simulator — records
+///    arrive through ingest() or through monitors the caller wires to a
+///    switch tap. `flowpulsed` runs it over Tier::leaves_of(topology), and
+///    each tier of ThreeLevelFlowPulse is one: the detection core needs
+///    only the tier's shape, so any substrate — simulator, wire protocol,
+///    replay file — can feed it.
 class FlowPulseSystem {
  public:
   FlowPulseSystem(net::FatTree& fabric, SystemConfig config);
 
-  /// Transport-agnostic deployment: detection over a bare topology view.
-  /// Monitors exist but are not attached to switches; ingest() is the only
-  /// input path, and tracing/audit (simulator-bound) are disabled.
-  FlowPulseSystem(const net::TopologyInfo& topo, SystemConfig config);
+  /// Transport-agnostic deployment over one monitored tier. Monitors exist
+  /// but are not attached to switches, and tracing/audit (simulator-bound)
+  /// are disabled.
+  FlowPulseSystem(const Tier& tier, SystemConfig config);
+
+  // Monitor finalize hooks point back at this system.
+  FlowPulseSystem(const FlowPulseSystem&) = delete;
+  FlowPulseSystem& operator=(const FlowPulseSystem&) = delete;
 
   /// Install the per-port prediction (fixed-model modes).
   void set_prediction(PortLoadMap prediction);
@@ -85,16 +91,18 @@ class FlowPulseSystem {
   using AlertHook = std::function<void(const DetectionResult&)>;
   void set_alert_hook(AlertHook hook) { alert_hook_ = std::move(hook); }
 
-  /// Sharded-lane mode: monitors finalize on their own event lanes, so the
-  /// eager per-finalize evaluation path would race on results_ and collect
-  /// them in lane-scheduling order. With deferred evaluation on, finalize
-  /// hooks do nothing during the run (each monitor only appends to its own
-  /// per-lane history) and flush() — called on the coordinator after the
-  /// lanes drain — replays every new record through the normal pipeline in
-  /// canonical (iteration, leaf) order, independent of lane count.
+  /// Judge only at flush(). Serves laned 2-level runs and both tiers of
+  /// ThreeLevelFlowPulse: monitors may finalize on their own event lanes,
+  /// where eager evaluation would race on results_ and collect them in
+  /// lane-scheduling order. With deferred evaluation on, finalize hooks do
+  /// nothing during the run (each monitor only appends to its own history)
+  /// and flush() — called on the coordinator after the lanes drain —
+  /// replays every new record through the normal pipeline in canonical
+  /// (iteration, row) order, independent of lane count. Records flushed
+  /// before a prediction is installed are dropped, so arm the system first.
   void set_deferred_evaluation(bool on) { deferred_ = on; }
 
-  /// Finalize the in-flight iteration at every leaf (end of training run).
+  /// Finalize the in-flight iteration at every row (end of training run).
   void flush();
 
   /// Feed one synthesized (or replayed) finalized iteration through the
@@ -128,7 +136,6 @@ class FlowPulseSystem {
 
   [[nodiscard]] PortMonitor& monitor(net::LeafId leaf) { return *monitors_[leaf.v()]; }
   [[nodiscard]] LearnedModel& learned_model(net::LeafId leaf) { return *learned_[leaf.v()]; }
-  [[nodiscard]] const net::TopologyInfo& topology() const { return topo_; }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
   [[nodiscard]] bool has_prediction() const { return detector_ != nullptr; }
   [[nodiscard]] const Detector& detector() const { return *detector_; }
@@ -142,7 +149,7 @@ class FlowPulseSystem {
   void trace_result(const DetectionResult& r);
 
   net::FatTree* fabric_ = nullptr;  ///< null in the transport-agnostic mode
-  net::TopologyInfo topo_;
+  Tier tier_;
   SystemConfig config_;
   std::vector<std::unique_ptr<PortMonitor>> monitors_;
   std::unique_ptr<Detector> detector_;
@@ -153,7 +160,7 @@ class FlowPulseSystem {
   std::vector<DetectionResult> results_;
   std::vector<LearnedOutcome> learned_outcomes_;
   bool deferred_ = false;
-  /// Per-leaf count of history records already replayed by deferred flushes.
+  /// Per-row count of history records already replayed by deferred flushes.
   std::vector<std::size_t> replayed_;
 };
 

@@ -1,7 +1,5 @@
 #include "flowpulse/three_level_system.h"
 
-#include <algorithm>
-
 namespace flowpulse::fp {
 
 ThreeLevelPrediction ThreeLevelAnalyticalModel::predict(
@@ -29,74 +27,37 @@ ThreeLevelPrediction ThreeLevelAnalyticalModel::predict(
   return pred;
 }
 
-ThreeLevelFlowPulse::ThreeLevelFlowPulse(net::ThreeLevelFatTree& fabric, double threshold,
-                                         std::uint16_t job)
-    : threshold_{threshold} {
+ThreeLevelFlowPulse::ThreeLevelFlowPulse(net::ThreeLevelFatTree& fabric)
+    : leaf_tier_{Tier::leaves_of(fabric.info().leaf_tier()), SystemConfig{}},
+      // Every leaf sends through the pod-spines: the rows are not the senders.
+      spine_tier_{Tier{fabric.info().num_pod_spines(), fabric.info().cores_per_group(),
+                       fabric.info().num_leaves(), fabric.info().hosts_per_leaf},
+                  SystemConfig{}} {
   const net::ThreeLevelInfo& info = fabric.info();
   for (const net::LeafId l : core::ids<net::LeafId>(info.num_leaves())) {
-    leaf_monitors_.push_back(std::make_unique<PortMonitor>(l, info.leaf_tier(), job));
-    leaf_monitors_.back()->attach(fabric.leaf(l));
+    leaf_tier_.monitor(l).attach(fabric.leaf(l));
   }
   for (std::uint32_t pod = 0; pod < info.pods; ++pod) {
     for (std::uint32_t s = 0; s < info.spines_per_pod; ++s) {
-      spine_monitors_.push_back(std::make_unique<PortMonitor>(
-          info.pod_spine_id(pod, s), info.cores_per_group(), info.num_leaves(),
-          info.hosts_per_leaf, job));
-      PortMonitor* mon = spine_monitors_.back().get();
+      PortMonitor* mon = &spine_tier_.monitor(net::LeafId{info.pod_spine_id(pod, s)});
       fabric.pod_spine(pod, s).set_core_ingress_hook(
           [mon](std::uint32_t k, const net::Packet& p) {
             mon->record(net::UplinkIndex{k}, p);
           });
     }
   }
+  leaf_tier_.set_deferred_evaluation(true);
+  spine_tier_.set_deferred_evaluation(true);
 }
 
 void ThreeLevelFlowPulse::set_prediction(ThreeLevelPrediction prediction) {
-  prediction_ = std::make_unique<ThreeLevelPrediction>(std::move(prediction));
+  leaf_tier_.set_prediction(std::move(prediction.leaf_level));
+  spine_tier_.set_prediction(std::move(prediction.spine_level));
 }
 
 void ThreeLevelFlowPulse::flush() {
-  for (auto& m : leaf_monitors_) m->flush();
-  for (auto& m : spine_monitors_) m->flush();
-  if (!prediction_) return;
-  for (const IterationRecord* r : take_new_records(leaf_monitors_, judged_leaf_)) {
-    leaf_results_.push_back(evaluate_record(prediction_->leaf_level, threshold_, *r));
-  }
-  for (const IterationRecord* r : take_new_records(spine_monitors_, judged_spine_)) {
-    spine_results_.push_back(evaluate_record(prediction_->spine_level, threshold_, *r));
-  }
-}
-
-std::vector<DetectionResult> ThreeLevelFlowPulse::faulty_leaf_results() const {
-  std::vector<DetectionResult> out;
-  std::copy_if(leaf_results_.begin(), leaf_results_.end(), std::back_inserter(out),
-               [](const DetectionResult& r) { return r.faulty(); });
-  return out;
-}
-
-std::vector<DetectionResult> ThreeLevelFlowPulse::faulty_spine_results() const {
-  std::vector<DetectionResult> out;
-  std::copy_if(spine_results_.begin(), spine_results_.end(), std::back_inserter(out),
-               [](const DetectionResult& r) { return r.faulty(); });
-  return out;
-}
-
-std::vector<double> ThreeLevelFlowPulse::max_dev_series(
-    const std::vector<DetectionResult>& results) {
-  std::vector<double> devs;
-  for (const DetectionResult& r : results) {
-    if (r.iteration.v() >= devs.size()) devs.resize(r.iteration.v() + 1, 0.0);
-    devs[r.iteration.v()] = std::max(devs[r.iteration.v()], r.max_rel_dev);
-  }
-  return devs;
-}
-
-std::vector<double> ThreeLevelFlowPulse::leaf_iteration_max_dev() const {
-  return max_dev_series(leaf_results_);
-}
-
-std::vector<double> ThreeLevelFlowPulse::spine_iteration_max_dev() const {
-  return max_dev_series(spine_results_);
+  leaf_tier_.flush();
+  spine_tier_.flush();
 }
 
 }  // namespace flowpulse::fp

@@ -1,14 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "collective/demand_matrix.h"
 #include "flowpulse/analytical_model.h"
 #include "flowpulse/detector.h"
-#include "flowpulse/monitor.h"
 #include "flowpulse/port_load.h"
+#include "flowpulse/system.h"
 #include "net/three_level.h"
 
 namespace flowpulse::fp {
@@ -57,52 +56,36 @@ class ThreeLevelAnalyticalModel {
 /// links) — the paper's §7 proposal. Still no coordination: each switch
 /// compares its own counters against its own slice of the prediction.
 ///
-/// Monitors only record. flush() judges every record finalized since the
-/// previous flush, per tier in canonical (iteration, row) order, so serial
-/// and laned runs evaluate the same records in the same order.
+/// Each tier is one FlowPulseSystem with the default SystemConfig, judged
+/// only at flush() by deferred evaluation, in canonical (iteration, row)
+/// order, so serial and laned runs evaluate the same records in the same
+/// order.
 class ThreeLevelFlowPulse {
  public:
-  ThreeLevelFlowPulse(net::ThreeLevelFatTree& fabric, double threshold,
-                      std::uint16_t job = 0);
+  explicit ThreeLevelFlowPulse(net::ThreeLevelFatTree& fabric);
 
+  /// Arm both tiers; records flushed before this are dropped.
   void set_prediction(ThreeLevelPrediction prediction);
 
   /// Finalize every monitor's in-flight iteration, then judge the records
-  /// finalized since the last flush. Without a prediction they wait for a
-  /// later flush.
+  /// finalized since the last flush.
   void flush();
 
+  /// Rows: global leaves; ports: pod-spine index.
+  [[nodiscard]] FlowPulseSystem& leaf_tier() { return leaf_tier_; }
+  /// Rows: global pod-spine ids; ports: core index within the group.
+  [[nodiscard]] FlowPulseSystem& spine_tier() { return spine_tier_; }
+
   [[nodiscard]] const std::vector<DetectionResult>& leaf_results() const {
-    return leaf_results_;
+    return leaf_tier_.results();
   }
   [[nodiscard]] const std::vector<DetectionResult>& spine_results() const {
-    return spine_results_;
-  }
-  [[nodiscard]] std::vector<DetectionResult> faulty_leaf_results() const;
-  [[nodiscard]] std::vector<DetectionResult> faulty_spine_results() const;
-  /// Largest deviation per iteration at each tier.
-  [[nodiscard]] std::vector<double> leaf_iteration_max_dev() const;
-  [[nodiscard]] std::vector<double> spine_iteration_max_dev() const;
-
-  [[nodiscard]] PortMonitor& leaf_monitor(net::LeafId l) { return *leaf_monitors_[l.v()]; }
-  // detlint: ok(raw-scalar-id): pod-spine ordinal from
-  // ThreeLevelInfo::pod_spine_id — documented raw-index boundary
-  [[nodiscard]] PortMonitor& spine_monitor(std::uint32_t pod_spine_id) {
-    return *spine_monitors_[pod_spine_id];
+    return spine_tier_.results();
   }
 
  private:
-  static std::vector<double> max_dev_series(const std::vector<DetectionResult>& results);
-
-  double threshold_;
-  std::vector<std::unique_ptr<PortMonitor>> leaf_monitors_;
-  std::vector<std::unique_ptr<PortMonitor>> spine_monitors_;
-  std::unique_ptr<ThreeLevelPrediction> prediction_;
-  std::vector<DetectionResult> leaf_results_;
-  std::vector<DetectionResult> spine_results_;
-  /// Per-monitor count of history records already judged.
-  std::vector<std::size_t> judged_leaf_;
-  std::vector<std::size_t> judged_spine_;
+  FlowPulseSystem leaf_tier_;
+  FlowPulseSystem spine_tier_;
 };
 
 }  // namespace flowpulse::fp

@@ -63,7 +63,9 @@ TEST(RingSchedule, EachRankReceivesEveryChunkOnceInRs) {
     std::set<std::uint32_t> chunks;
     for (const Stage& st : s.stages) {
       for (const Send& snd : st.sends) {
-        if (snd.dst_rank == r) EXPECT_TRUE(chunks.insert(snd.chunk).second);
+        if (snd.dst_rank == r) {
+          EXPECT_TRUE(chunks.insert(snd.chunk).second);
+        }
       }
     }
     EXPECT_EQ(chunks.size(), 5u);  // all but its own final chunk

@@ -191,7 +191,9 @@ TEST(Ring, HoldsMoveOnlyElements) {
   Ring<std::unique_ptr<int>> r;
   for (int i = 0; i < 20; ++i) {
     r.push_back(std::make_unique<int>(i));
-    if (i % 3 == 2) EXPECT_EQ(*r.pop_front(), i / 3);  // interleave pops so growth sees a wrap
+    if (i % 3 == 2) {
+      EXPECT_EQ(*r.pop_front(), i / 3);  // interleave pops so growth sees a wrap
+    }
   }
   int expect = 20 / 3;
   while (!r.empty()) {

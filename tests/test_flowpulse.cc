@@ -130,7 +130,7 @@ net::Packet data_packet(std::uint32_t iter, std::uint32_t src, std::uint32_t siz
 class PortMonitorTest : public ::testing::Test {
  protected:
   TopologyInfo info{4, 2, 1, 1};
-  PortMonitor mon{net::LeafId{1}, info};
+  PortMonitor mon{net::LeafId{1}, Tier::leaves_of(info)};
 };
 
 TEST_F(PortMonitorTest, CountsTaggedDataBytesPerPort) {
@@ -166,7 +166,7 @@ TEST_F(PortMonitorTest, IgnoresOtherJobs) {
   mon.flush();
   EXPECT_TRUE(mon.history().empty());
 
-  PortMonitor job3{net::LeafId{1}, info, 3};
+  PortMonitor job3{net::LeafId{1}, Tier::leaves_of(info), 3};
   job3.record(net::UplinkIndex{0}, data_packet(0, 0, 1000, 3));
   job3.flush();
   ASSERT_EQ(job3.history().size(), 1u);

@@ -100,6 +100,33 @@ TEST(LanedScenario, LanedRunDetects) {
   EXPECT_GT(result.events, 0u);
 }
 
+TEST(LanedScenario, ClosTiersJudgeAlikeOverSeveralIterations) {
+  // The 1k golden runs one iteration, so its records all finalize at the
+  // closing flush. Over three iterations, pod lanes finalize Clos records
+  // mid-run, and both tiers must still judge them as the serial run does.
+  exp::ClosScenarioConfig cfg;
+  cfg.fabric.shape = net::ThreeLevelInfo{4, 2, 2, 2};
+  cfg.collective_bytes = core::Bytes{256u << 10};
+  cfg.iterations = 3;
+  cfg.seed = 7;
+  cfg.leaf_faults.push_back(
+      {net::LeafId{5}, 1, net::FaultSpec::black_hole(sim::Time::microseconds(5))});
+  cfg.core_faults.push_back({2, 0, 1, net::FaultSpec::black_hole()});
+  cfg.lanes = 0;
+  exp::ClosScenario serial_scenario{cfg};
+  const exp::ClosScenarioResult serial = serial_scenario.run();
+  EXPECT_FALSE(serial.faulty_leaves.empty());
+  EXPECT_FALSE(serial.faulty_spines.empty());
+  EXPECT_EQ(serial.leaf_iteration_max_dev.size(), 3u);
+  for (const std::int32_t lanes : {2, 4}) {
+    cfg.lanes = lanes;
+    exp::ClosScenario scenario{cfg};
+    EXPECT_TRUE(scenario.laned());
+    EXPECT_EQ(exp::clos_report_hash(scenario.run()), exp::clos_report_hash(serial))
+        << "lanes " << lanes;
+  }
+}
+
 /// The headline >= 1k-host scenario the ISSUE pins: 16 pods x 8 leaves x
 /// 8 pod-spines x 8 hosts/leaf = 1024 hosts, deterministic silent faults
 /// at both monitored tiers. Scaled-down workload (128 KiB, 1 iteration)

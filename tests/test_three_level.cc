@@ -217,7 +217,7 @@ struct FullRig3 {
       : sim{seed},
         net{sim, Rig3::make_config(shape, seed)},
         transports{sim, net},
-        fps{net, 0.01} {
+        fps{net} {
     collective::CollectiveConfig cc;
     for (const HostId h : core::ids<HostId>(net.num_hosts())) cc.hosts.push_back(h);
     cc.schedule = collective::ring_reduce_scatter(net.num_hosts(), core::Bytes{bytes});
@@ -289,8 +289,8 @@ TEST(ThreeLevelFlowPulse, CleanRunQuietAtBothTiers) {
     FullRig3 rig{shape, 8ull << 20, 3};
     rig.run();
     EXPECT_TRUE(rig.runner->finished());
-    for (const double dev : rig.fps.leaf_iteration_max_dev()) EXPECT_LT(dev, 0.01);
-    for (const double dev : rig.fps.spine_iteration_max_dev()) EXPECT_LT(dev, 0.01);
+    for (const double dev : rig.fps.leaf_tier().per_iteration_max_dev()) EXPECT_LT(dev, 0.01);
+    for (const double dev : rig.fps.spine_tier().per_iteration_max_dev()) EXPECT_LT(dev, 0.01);
   }
 }
 
@@ -299,7 +299,7 @@ TEST(ThreeLevelFlowPulse, LeafLinkFaultSeenAtLeafTier) {
   rig.net.set_leaf_link_fault(LeafId{3}, 1, FaultSpec::random_drop(0.05));
   rig.run();
   bool found = false;
-  for (const auto& r : rig.fps.faulty_leaf_results()) {
+  for (const auto& r : rig.fps.leaf_tier().faulty_results()) {
     for (const auto& a : r.alerts) {
       if (r.leaf == LeafId{3} && a.uplink == UplinkIndex{1} &&
           a.observed < a.predicted) {
@@ -322,7 +322,7 @@ TEST(ThreeLevelFlowPulse, CoreLinkFaultLocalizedAtSpineTier) {
                                 FaultSpec::random_drop(0.08));
     rig.run();
     bool spine_found = false;
-    for (const auto& r : rig.fps.faulty_spine_results()) {
+    for (const auto& r : rig.fps.spine_tier().faulty_results()) {
       for (const auto& a : r.alerts) {
         // Row = pod 1's pod-spine 0; port 1 = core k=1. Every sender is
         // short there, so localization blames that very link.
@@ -337,8 +337,10 @@ TEST(ThreeLevelFlowPulse, CoreLinkFaultLocalizedAtSpineTier) {
 
     // The spine tier's deviation must dominate the leaf tier's diluted view.
     double leaf_max = 0.0, spine_max = 0.0;
-    for (const double d : rig.fps.leaf_iteration_max_dev()) leaf_max = std::max(leaf_max, d);
-    for (const double d : rig.fps.spine_iteration_max_dev()) {
+    for (const double d : rig.fps.leaf_tier().per_iteration_max_dev()) {
+      leaf_max = std::max(leaf_max, d);
+    }
+    for (const double d : rig.fps.spine_tier().per_iteration_max_dev()) {
       spine_max = std::max(spine_max, d);
     }
     EXPECT_GT(spine_max, leaf_max);

@@ -1,7 +1,7 @@
 """fplint: scope-aware static analysis for the FlowPulse tree.
 
 A dependency-free (stdlib-only, Python >= 3.8) replacement for the
-regex-based tools/detlint.py. The substrate is a real C++ tokenizer
+regex-based detlint engine. The substrate is a real C++ tokenizer
 (lexer.py), a brace/scope tracker with declaration capture (scopes.py),
 a cross-TU identifier/declaration index and include-graph builder
 (engine.py), and a legacy-compatible line view (legacy.py) on which the
@@ -23,8 +23,8 @@ express (rules_scoped.py + engine.py):
   stale-waiver        a waiver on a line where its rule no longer fires
                       is itself an error
 
-Entry points: `python3 tools/fplint <paths>` (tools/fplint/__main__.py)
-or the thin back-compat shim `python3 tools/detlint.py <paths>`.
+Entry point: `python3 tools/fplint <paths>` (tools/fplint/__main__.py);
+`--compat-detlint` reproduces the legacy output for the parity test.
 """
 
 __version__ = "1.0"
