@@ -141,7 +141,11 @@ void Scenario::build() {
 
   transports_ = std::make_unique<transport::TransportLayer>(*sim_, *fabric_, config_.transport);
 
-  flowpulse_ = std::make_unique<fp::FlowPulseSystem>(*fabric_, config_.flowpulse);
+  flowpulse_ = std::make_unique<fp::FlowPulseSystem>(fp::Tier::leaves_of(fabric_->info()),
+                                                     config_.flowpulse);
+  for (const net::LeafId l : core::ids<net::LeafId>(fabric_->info().leaves)) {
+    flowpulse_->attach(l, fabric_->leaf(l));
+  }
   // Sharded monitors finalize on their own lanes; evaluation is deferred to
   // the post-drain flush and replayed in canonical (iteration, leaf) order.
   if (lane_runner_ != nullptr) flowpulse_->set_deferred_evaluation(true);

@@ -35,15 +35,11 @@ ThreeLevelFlowPulse::ThreeLevelFlowPulse(net::ThreeLevelFatTree& fabric)
                   SystemConfig{}} {
   const net::ThreeLevelInfo& info = fabric.info();
   for (const net::LeafId l : core::ids<net::LeafId>(info.num_leaves())) {
-    leaf_tier_.monitor(l).attach(fabric.leaf(l));
+    leaf_tier_.attach(l, fabric.leaf(l));
   }
   for (std::uint32_t pod = 0; pod < info.pods; ++pod) {
     for (std::uint32_t s = 0; s < info.spines_per_pod; ++s) {
-      PortMonitor* mon = &spine_tier_.monitor(net::LeafId{info.pod_spine_id(pod, s)});
-      fabric.pod_spine(pod, s).set_core_ingress_hook(
-          [mon](std::uint32_t k, const net::Packet& p) {
-            mon->record(net::UplinkIndex{k}, p);
-          });
+      spine_tier_.attach(net::LeafId{info.pod_spine_id(pod, s)}, fabric.pod_spine(pod, s));
     }
   }
   leaf_tier_.set_deferred_evaluation(true);

@@ -3,10 +3,17 @@
 #include <cassert>
 #include <utility>
 
+#include "net/switch.h"
+
 namespace flowpulse::net {
 
-EgressPort::EgressPort(sim::Simulator& simulator, LinkParams params, std::string name)
-    : sim_{simulator}, params_{params}, name_{std::move(name)} {
+EgressPort::EgressPort(sim::Simulator& simulator, LinkParams params, std::string name,
+                       Switch* sw, sim::Rng& fault_rng)
+    : sim_{simulator},
+      params_{params},
+      name_{std::move(name)},
+      switch_{sw},
+      fault_rng_{fault_rng} {
 #if FP_AUDIT_ENABLED
   sim_.audit_register_quiesce([this] { audit_verify_quiescent(); });
 #endif
@@ -47,7 +54,7 @@ void EgressPort::try_start() {
     queued_bytes_[pi] -= in_flight_.size_bytes;
     queued_bytes_total_ -= in_flight_.size_bytes;
     transmitting_ = true;
-    if (depart_hook_) depart_hook_(in_flight_);
+    if (switch_ != nullptr) switch_->pfc_on_depart(in_flight_);
     sim_.schedule_in(core::serialization_time(in_flight_.size_bytes, params_.bandwidth),
                      [this] { finish_transmission(); });
     return;
@@ -68,8 +75,7 @@ void EgressPort::finish_transmission() {
     if (fault_.spec().drops_all()) {
       dropped = fault_.spec().active_at(sim_.now());
     } else {
-      assert(fault_rng_ != nullptr && "probabilistic fault requires set_fault_rng()");
-      dropped = fault_.should_drop(sim_.now(), *fault_rng_);
+      dropped = fault_.should_drop(sim_.now(), fault_rng_);
     }
   }
 

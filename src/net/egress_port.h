@@ -23,6 +23,8 @@
 
 namespace flowpulse::net {
 
+class Switch;
+
 /// Physical parameters of one unidirectional link.
 struct LinkParams {
   core::GbitsPerSec bandwidth{400.0};
@@ -46,9 +48,11 @@ class EgressPort {
     kDropped,  ///< finished serialization but lost to the link fault
   };
   using TxHook = std::function<void(const Packet&, TxEvent)>;
-  using DepartHook = std::function<void(const Packet&)>;
 
-  EgressPort(sim::Simulator& simulator, LinkParams params, std::string name);
+  /// `sw` is the switch whose shared buffer a departing packet leaves
+  /// (nullptr for a host NIC); `fault_rng` samples probabilistic faults.
+  EgressPort(sim::Simulator& simulator, LinkParams params, std::string name, Switch* sw,
+             sim::Rng& fault_rng);
 
   EgressPort(const EgressPort&) = delete;
   EgressPort& operator=(const EgressPort&) = delete;
@@ -98,16 +102,9 @@ class EgressPort {
   [[nodiscard]] const FaultSpec& fault() const { return fault_.spec(); }
   [[nodiscard]] const FaultModel& fault_model() const { return fault_; }
 
-  /// RNG used for fault sampling; set once at wiring time.
-  void set_fault_rng(sim::Rng* rng) { fault_rng_ = rng; }
-
   /// Observe wire transmissions (used by the transport for RTO timing and
   /// by tests). Fires after serialization, before propagation.
   void set_tx_hook(TxHook hook) { tx_hook_ = std::move(hook); }
-
-  /// Fires when a packet leaves the queues (starts serialization); used by
-  /// the owning switch to release PFC ingress accounting.
-  void set_depart_hook(DepartHook hook) { depart_hook_ = std::move(hook); }
 
   [[nodiscard]] const LinkCounters& counters() const { return counters_; }
   [[nodiscard]] const LinkParams& params() const { return params_; }
@@ -142,6 +139,8 @@ class EgressPort {
   sim::Simulator& sim_;
   LinkParams params_;
   std::string name_;
+  Switch* switch_;
+  sim::Rng& fault_rng_;
   Device* peer_ = nullptr;
   PortIndex peer_port_ = kInvalidPort;
   /// Destination lane for cross-lane links; nullptr for lane-local links.
@@ -162,10 +161,8 @@ class EgressPort {
   core::Ring<Packet> on_wire_;
 
   FaultModel fault_{};
-  sim::Rng* fault_rng_ = nullptr;
   LinkCounters counters_{};
   TxHook tx_hook_;
-  DepartHook depart_hook_;
 
 #if FP_AUDIT_ENABLED
   core::Bytes audit_enqueued_bytes_{};

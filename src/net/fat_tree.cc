@@ -20,20 +20,19 @@ FatTree::FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config)
 
   hosts_.reserve(shape.num_hosts());
   for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
-    hosts_.push_back(std::make_unique<Host>(sim_, h, config_.host_link));
+    hosts_.push_back(std::make_unique<Host>(sim_, h, config_.host_link, fault_rng_));
   }
   leaves_.reserve(shape.leaves);
   for (const LeafId l : core::ids<LeafId>(shape.leaves)) {
     leaves_.push_back(std::make_unique<LeafSwitch>(lane_for_leaf(l), l, config_.shape, routing_,
                                                    config_.spray, config_.pfc,
                                                    config_.host_link, config_.fabric_link,
-                                                   spray_seeder.split()));
+                                                   spray_seeder.split(), fault_rng_));
   }
   spines_.reserve(shape.spines);
   for (const SpineId s : core::ids<SpineId>(shape.spines)) {
-    spines_.push_back(
-        std::make_unique<SpineSwitch>(lane_for_spine(s), s, config_.shape, config_.pfc,
-                                      config_.fabric_link));
+    spines_.push_back(std::make_unique<SpineSwitch>(lane_for_spine(s), s, config_.shape,
+                                                    config_.pfc, config_.fabric_link, fault_rng_));
   }
 
   // Wire host <-> leaf.
@@ -63,13 +62,6 @@ FatTree::FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config)
       link_lanes(leaf_sw.uplink(u), lane_for_spine(shape.spine_of(u)));
       link_lanes(spine_sw.down_port(spine_port), lane_for_leaf(l));
     }
-    leaf_sw.set_fault_rng(&fault_rng_);
-  }
-  for (const SpineId s : core::ids<SpineId>(shape.spines)) {
-    spines_[s.v()]->set_fault_rng(&fault_rng_);
-  }
-  for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
-    hosts_[h.v()]->nic().set_fault_rng(&fault_rng_);
   }
 }
 
@@ -127,19 +119,9 @@ const LinkCounters& FatTree::uplink_counters(LeafId leaf, UplinkIndex u) const {
 
 LinkCounters FatTree::total_fabric_counters() const {
   LinkCounters total{};
-  const TopologyInfo& shape = config_.shape;
-  for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
-    total += hosts_[h.v()]->nic().counters();
-  }
-  for (const LeafId l : core::ids<LeafId>(shape.leaves)) {
-    for (std::uint32_t i = 0; i < shape.hosts_per_leaf; ++i) {
-      total += leaves_[l.v()]->host_port(i).counters();
-    }
-    for (const UplinkIndex u : core::ids<UplinkIndex>(shape.uplinks_per_leaf())) {
-      total += leaves_[l.v()]->uplink(u).counters();
-      total += downlink_counters(l, u);
-    }
-  }
+  for (const auto& h : hosts_) total += h->nic().counters();
+  for (const auto& leaf : leaves_) total += leaf->link_counters();
+  for (const auto& spine : spines_) total += spine->link_counters();
   return total;
 }
 

@@ -86,15 +86,6 @@ class FatTree {
   /// Sum of every link counter over the whole fabric (conservation tests).
   [[nodiscard]] LinkCounters total_fabric_counters() const;
 
-#if FP_AUDIT_ENABLED
-  /// Tagged collective data bytes `job` delivered on the spine→leaf
-  /// direction of uplink u at `leaf` (monitor-vs-switch reconciliation).
-  [[nodiscard]] core::Bytes audit_downlink_tagged_bytes(LeafId leaf, UplinkIndex u,
-                                                        std::uint16_t job) {
-    return downlink(leaf, u).audit_tagged_bytes(job);
-  }
-#endif
-
  private:
   [[nodiscard]] EgressPort& downlink(LeafId leaf, UplinkIndex u);
   [[nodiscard]] sim::Simulator& lane_for_leaf(LeafId l) const;

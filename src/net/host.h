@@ -18,8 +18,9 @@ class Host final : public Device {
  public:
   using RxHandler = std::function<void(const Packet&)>;
 
-  Host(sim::Simulator& simulator, HostId id, LinkParams to_leaf)
-      : id_{id}, nic_{simulator, to_leaf, "host" + std::to_string(id.v()) + ".nic"} {}
+  Host(sim::Simulator& simulator, HostId id, LinkParams to_leaf, sim::Rng& fault_rng)
+      : id_{id},
+        nic_{simulator, to_leaf, "host" + std::to_string(id.v()) + ".nic", nullptr, fault_rng} {}
 
   void receive(Packet p, PortIndex /*in_port*/) override {
     if (rx_) rx_(p);

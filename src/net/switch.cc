@@ -23,21 +23,28 @@ std::uint64_t flow_hash(const Packet& p) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Switch (PFC base)
+// Switch (base)
 // ---------------------------------------------------------------------------
 
 Switch::Switch(sim::Simulator& simulator, std::string name, std::uint32_t num_ports,
-               PfcConfig pfc)
+               PortIndex first_up_port, PfcConfig pfc)
     : sim_{simulator},
       name_{std::move(name)},
       pfc_{pfc},
+      first_up_port_{first_up_port},
       ingress_bytes_(num_ports),
       upstream_paused_(num_ports),
       upstream_(num_ports, nullptr) {
+  ports_.reserve(num_ports);
 #if FP_AUDIT_ENABLED
   audit_pause_epoch_.resize(num_ports);
   sim_.audit_register_quiesce([this] { audit_verify_ingress_drained(); });
 #endif
+}
+
+void Switch::add_port(LinkParams link, sim::Rng& fault_rng, const std::string& suffix) {
+  assert(ports_.size() < upstream_.size());
+  ports_.push_back(std::make_unique<EgressPort>(sim_, link, name_ + suffix, this, fault_rng));
 }
 
 void Switch::set_upstream(PortIndex in_port, EgressPort* upstream) {
@@ -45,7 +52,19 @@ void Switch::set_upstream(PortIndex in_port, EgressPort* upstream) {
   upstream_[in_port.v()] = upstream;
 }
 
-void Switch::pfc_on_arrival(const Packet& p, PortIndex in_port) {
+const EgressPort& Switch::upstream(UplinkIndex u) const {
+  const EgressPort* up = upstream_[first_up_port_.v() + u.v()];
+  assert(up != nullptr && "tapped port read before wiring");
+  return *up;
+}
+
+LinkCounters Switch::link_counters() const {
+  LinkCounters total{};
+  for (const auto& egress : ports_) total += egress->counters();
+  return total;
+}
+
+void Switch::on_arrival(const Packet& p, PortIndex in_port) {
   assert(in_port.v() < ingress_bytes_.size());
   const int pi = priority_index(p.priority);
   auto& bytes = ingress_bytes_[in_port.v()][pi];
@@ -69,6 +88,9 @@ void Switch::pfc_on_arrival(const Packet& p, PortIndex in_port) {
                    std::to_string(ingress_bytes_[in_port.v()][pi].v()) + " bytes");
     });
 #endif
+  }
+  if (tap_ && in_port.v() >= first_up_port_.v()) {
+    tap_(UplinkIndex{in_port.v() - first_up_port_.v()}, p);
   }
 }
 
@@ -124,19 +146,17 @@ void Switch::send_pause(PortIndex in_port, Priority prio, bool pause) {
   sim_.schedule_in(up->params().prop_delay, [up, prio, pause] { up->set_paused(prio, pause); });
 }
 
-void Switch::hook_depart(EgressPort& port) {
-  port.set_depart_hook([this](const Packet& p) { pfc_on_depart(p); });
-}
-
 // ---------------------------------------------------------------------------
 // LeafSwitch
 // ---------------------------------------------------------------------------
 
 LeafSwitch::LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo& info,
                        const RoutingState& routing, SprayPolicy spray, PfcConfig pfc,
-                       LinkParams host_link, LinkParams fabric_link, sim::Rng rng)
+                       LinkParams host_link, LinkParams fabric_link, sim::Rng rng,
+                       sim::Rng& fault_rng)
     : Switch{simulator, "leaf" + std::to_string(id.v()),
-             info.hosts_per_leaf + info.uplinks_per_leaf(), pfc},
+             info.hosts_per_leaf + info.uplinks_per_leaf(),
+             info.leaf_uplink_port(UplinkIndex{0}), pfc},
       id_{id},
       info_{info},
       routing_{routing},
@@ -145,49 +165,30 @@ LeafSwitch::LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo&
       sent_bytes_(static_cast<std::size_t>(info.leaves) * kNumPriorities *
                       info.uplinks_per_leaf(),
                   core::Bytes{}) {
-  host_ports_.reserve(info.hosts_per_leaf);
   for (std::uint32_t h = 0; h < info.hosts_per_leaf; ++h) {
-    host_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, host_link, name() + ".down" + std::to_string(h)));
-    hook_depart(*host_ports_.back());
+    add_port(host_link, fault_rng, ".down" + std::to_string(h));
   }
-  uplink_ports_.reserve(info.uplinks_per_leaf());
   for (const UplinkIndex u : core::ids<UplinkIndex>(info.uplinks_per_leaf())) {
-    uplink_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, fabric_link, name() + ".up" + std::to_string(u.v())));
-    hook_depart(*uplink_ports_.back());
+    add_port(fabric_link, fault_rng, ".up" + std::to_string(u.v()));
   }
-}
-
-void LeafSwitch::set_fault_rng(sim::Rng* rng) {
-  for (auto& p : host_ports_) p->set_fault_rng(rng);
-  for (auto& p : uplink_ports_) p->set_fault_rng(rng);
 }
 
 void LeafSwitch::receive(Packet p, PortIndex in_port) {
-  pfc_on_arrival(p, in_port);
-  if (spine_hook_ && in_port.v() >= info_.hosts_per_leaf) {
-    spine_hook_(info_.uplink_of_leaf_port(in_port), p);
-  }
-
+  on_arrival(p, in_port);
   const LeafId dst_leaf = info_.leaf_of(p.dst);
-  EgressPort* out = nullptr;
   if (dst_leaf == id_) {
-    out = host_ports_[info_.local_index(p.dst)].get();
-  } else {
-    const UplinkIndex u = choose_uplink(p, dst_leaf);
-    if (u == kNoUplink) {
-      // Network partition toward dst_leaf: count and release the buffer.
-      ++counters_.no_route_drops;
-      p.pfc_ingress = in_port;
-      pfc_on_depart(p);
-      return;
-    }
-    out = uplink_ports_[u.v()].get();
+    forward(p, in_port, host_port(info_.local_index(p.dst)));
+    return;
   }
-  ++counters_.forwarded_packets;
-  p.pfc_ingress = in_port;
-  out->enqueue(p);
+  const UplinkIndex u = choose_uplink(p, dst_leaf);
+  if (u == kNoUplink) {
+    // Network partition toward dst_leaf: count and release the buffer.
+    ++counters_.no_route_drops;
+    p.pfc_ingress = in_port;
+    pfc_on_depart(p);
+    return;
+  }
+  forward(p, in_port, uplink(u));
 }
 
 UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
@@ -214,7 +215,7 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
         UplinkIndex pick = valid[0];
         core::Bytes best{std::numeric_limits<std::uint64_t>::max()};
         for (const UplinkIndex u : valid) {
-          const core::Bytes occ = uplink_ports_[u.v()]->queued_bytes_at_or_above(p.priority);
+          const core::Bytes occ = uplink(u).queued_bytes_at_or_above(p.priority);
           if (occ < best) {
             best = occ;
             pick = u;
@@ -234,7 +235,7 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
 
     case SprayPolicy::kAdaptive:
       return pick_byte_deficit(
-          uplink_ports_, valid, p,
+          info_.leaf_uplink_port(UplinkIndex{0}), valid, p,
           &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
                         priority_index(p.priority)) *
                        info_.uplinks_per_leaf()]);
@@ -242,9 +243,9 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
   return kNoUplink;
 }
 
-UplinkIndex pick_byte_deficit(const std::vector<std::unique_ptr<EgressPort>>& ports,
-                              const std::vector<UplinkIndex>& candidates, const Packet& p,
-                              core::Bytes* deficit) {
+UplinkIndex Switch::pick_byte_deficit(PortIndex first,
+                                      const std::vector<UplinkIndex>& candidates,
+                                      const Packet& p, core::Bytes* deficit) const {
   // Occupancy is compared in grades of this many bytes, as real
   // adaptive-routing ASICs compare coarse congestion levels rather than
   // exact byte counts. Sub-grade transients (e.g. one in-flight packet of
@@ -261,7 +262,8 @@ UplinkIndex pick_byte_deficit(const std::vector<std::unique_ptr<EgressPort>>& po
   std::uint64_t best_grade = std::numeric_limits<std::uint64_t>::max();
   core::Bytes best_deficit{std::numeric_limits<std::uint64_t>::max()};
   for (const UplinkIndex u : candidates) {
-    const std::uint64_t g = ports[u.v()]->queued_bytes_at_or_above(p.priority) / kSprayQuantum;
+    const std::uint64_t g =
+        ports_[first.v() + u.v()]->queued_bytes_at_or_above(p.priority) / kSprayQuantum;
     if (g > best_grade) continue;
     if (g < best_grade || deficit[u.v()] < best_deficit) {
       best_grade = g;
@@ -278,32 +280,22 @@ UplinkIndex pick_byte_deficit(const std::vector<std::unique_ptr<EgressPort>>& po
 // ---------------------------------------------------------------------------
 
 SpineSwitch::SpineSwitch(sim::Simulator& simulator, SpineId id, const TopologyInfo& info,
-                         PfcConfig pfc, LinkParams fabric_link)
-    : Switch{simulator, "spine" + std::to_string(id.v()), info.leaves * info.parallel, pfc},
+                         PfcConfig pfc, LinkParams fabric_link, sim::Rng& fault_rng)
+    : Switch{simulator, "spine" + std::to_string(id.v()), info.leaves * info.parallel,
+             /*first_up_port=*/kInvalidPort, pfc},
       id_{id},
       info_{info} {
-  const std::uint32_t ports = info.leaves * info.parallel;
-  down_ports_.reserve(ports);
-  for (const PortIndex port : core::ids<PortIndex>(ports)) {
-    down_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, fabric_link, name() + ".down" + std::to_string(port.v())));
-    hook_depart(*down_ports_.back());
+  for (const PortIndex p : core::ids<PortIndex>(info.leaves * info.parallel)) {
+    add_port(fabric_link, fault_rng, ".down" + std::to_string(p.v()));
   }
 }
 
-void SpineSwitch::set_fault_rng(sim::Rng* rng) {
-  for (auto& p : down_ports_) p->set_fault_rng(rng);
-}
-
 void SpineSwitch::receive(Packet p, PortIndex in_port) {
-  pfc_on_arrival(p, in_port);
+  on_arrival(p, in_port);
   // Arrival port encodes (src leaf, lane); keep the lane downstream so each
   // lane behaves as an independent virtual spine.
   const std::uint32_t lane = in_port.v() % info_.parallel;
-  const LeafId dst_leaf = info_.leaf_of(p.dst);
-  ++counters_.forwarded_packets;
-  p.pfc_ingress = in_port;
-  down_ports_[dst_leaf.v() * info_.parallel + lane]->enqueue(p);
+  forward(p, in_port, down_port_to(info_.leaf_of(p.dst), lane));
 }
 
 }  // namespace flowpulse::net

@@ -33,32 +33,73 @@ struct PfcConfig {
 constexpr sim::Time kPfcStuckPauseTimeout = sim::Time::milliseconds(50);
 #endif
 
-/// Common switch machinery: ingress-buffer accounting and PFC pause/resume
-/// toward upstream egress ports. A packet occupies its ingress-port counter
-/// from arrival until it starts serialization on this switch's egress port
+/// Common switch machinery: the egress ports, ingress-buffer accounting,
+/// PFC pause/resume toward upstream egress ports, and one ingress tap.
+/// Ingress port p and egress port p face the same neighbour, so one
+/// PortIndex names both. A packet occupies its ingress-port counter from
+/// arrival until it starts serialization on this switch's egress port
 /// (hardware decrements on departure from the shared buffer).
 class Switch : public Device {
  public:
+  /// Observer of packets arriving on up-facing ports, each reported by its
+  /// port's index counted from the first up-facing port. This is the
+  /// vantage point FlowPulse instruments: a leaf's ingress from spines (§5:
+  /// late in the path, and it names the traversed spine) and a pod-spine's
+  /// ingress from cores (§7).
+  using IngressTap = std::function<void(UplinkIndex, const Packet&)>;
+
   void set_upstream(PortIndex in_port, EgressPort* upstream);
+  void set_ingress_tap(IngressTap tap) { tap_ = std::move(tap); }
+
+  /// The egress port feeding the up-facing port the tap reports as `u`.
+  [[nodiscard]] const EgressPort& upstream(UplinkIndex u) const;
+  /// Sum of the counters of every link this switch drives.
+  [[nodiscard]] LinkCounters link_counters() const;
+
+  /// Release accounting for a departing packet (identified by its
+  /// pfc_ingress scratch field) and issue RESUME if below XON. Owned egress
+  /// ports call it when a packet starts serialization.
+  void pfc_on_depart(const Packet& p);
+
   [[nodiscard]] const SwitchCounters& counters() const { return counters_; }
   [[nodiscard]] core::Bytes ingress_bytes(PortIndex port, Priority prio) const {
     return ingress_bytes_[port.v()][priority_index(prio)];
   }
   [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
 
  protected:
-  Switch(sim::Simulator& simulator, std::string name, std::uint32_t num_ports, PfcConfig pfc);
+  /// Ports [first_up_port, num_ports) face up; kInvalidPort when none do.
+  Switch(sim::Simulator& simulator, std::string name, std::uint32_t num_ports,
+         PortIndex first_up_port, PfcConfig pfc);
 
-  /// Account an arriving packet and issue PAUSE if the ingress class
-  /// crosses XOFF.
-  void pfc_on_arrival(const Packet& p, PortIndex in_port);
+  /// Create the next egress port, named after this switch plus `suffix`.
+  /// Subclasses call it once per port, in port order.
+  void add_port(LinkParams link, sim::Rng& fault_rng, const std::string& suffix);
+  [[nodiscard]] EgressPort& port(PortIndex p) { return *ports_[p.v()]; }
+  [[nodiscard]] const EgressPort& port(PortIndex p) const { return *ports_[p.v()]; }
 
-  /// Release accounting for a departing packet (identified by its
-  /// pfc_ingress scratch field) and issue RESUME if below XON.
-  void pfc_on_depart(const Packet& p);
+  /// Arrival prologue of every receive(): account the packet, issue PAUSE
+  /// if its ingress class crosses XOFF, then report it to the tap.
+  void on_arrival(const Packet& p, PortIndex in_port);
 
-  /// Install pfc_on_depart as the depart hook of an owned egress port.
-  void hook_depart(EgressPort& port);
+  /// Forwarding tail of every receive(): count the packet, remember its
+  /// ingress port for the PFC release on departure, and enqueue it.
+  void forward(Packet& p, PortIndex in_port, EgressPort& out) {
+    ++counters_.forwarded_packets;
+    p.pfc_ingress = in_port;
+    out.enqueue(p);
+  }
+
+  /// Congestion-graded byte-deficit spray, shared by the kAdaptive leaf and
+  /// the three-level pod-spine. Candidate u is egress port first + u. Picks
+  /// the candidate with the least congestion grade, i.e. bytes queued at or
+  /// above the packet's class in 8 KiB units (kSprayQuantum); then the least
+  /// bytes in `deficit[u]`; then the earliest candidate. Charges the
+  /// packet's bytes to the pick's deficit entry.
+  [[nodiscard]] UplinkIndex pick_byte_deficit(PortIndex first,
+                                              const std::vector<UplinkIndex>& candidates,
+                                              const Packet& p, core::Bytes* deficit) const;
 
   sim::Simulator& sim_;
   SwitchCounters counters_{};
@@ -68,9 +109,12 @@ class Switch : public Device {
 
   std::string name_;
   PfcConfig pfc_;
+  PortIndex first_up_port_;
+  std::vector<std::unique_ptr<EgressPort>> ports_;
   std::vector<std::array<core::Bytes, kNumPriorities>> ingress_bytes_;
   std::vector<std::array<bool, kNumPriorities>> upstream_paused_;
   std::vector<EgressPort*> upstream_;
+  IngressTap tap_;
 
 #if FP_AUDIT_ENABLED
   void audit_verify_ingress_drained() const;
@@ -81,42 +125,26 @@ class Switch : public Device {
 #endif
 };
 
-/// Congestion-graded byte-deficit spray, shared by the kAdaptive leaf and
-/// the three-level pod-spine. Picks among `candidates` (indices into
-/// `ports`) the least congestion grade, i.e. bytes queued at or above the
-/// packet's class in 8 KiB units (kSprayQuantum); then the least bytes in
-/// `deficit[u]`; then the earliest candidate. Charges the packet's bytes to
-/// the pick's deficit entry.
-[[nodiscard]] UplinkIndex pick_byte_deficit(
-    const std::vector<std::unique_ptr<EgressPort>>& ports,
-    const std::vector<UplinkIndex>& candidates, const Packet& p, core::Bytes* deficit);
-
 /// Leaf (top-of-rack) switch. Ports [0, hosts_per_leaf) face hosts; port
-/// hosts_per_leaf + u carries uplink u. Upstream traffic is sprayed per
-/// packet across the valid uplinks (APS); downstream traffic is delivered
-/// to the destination host port — never sprayed, matching the paper's
-/// network model.
+/// hosts_per_leaf + u carries uplink u, which the ingress tap reports as u.
+/// Upstream traffic is sprayed per packet across the valid uplinks (APS);
+/// downstream traffic is delivered to the destination host port — never
+/// sprayed, matching the paper's network model.
 class LeafSwitch final : public Switch {
  public:
-  /// Observer for packets arriving from spines — exactly the vantage point
-  /// FlowPulse instruments (§5: leaf ingress ports from spines are late in
-  /// the path and uniquely identify the traversed spine).
-  using SpineIngressHook = std::function<void(UplinkIndex, const Packet&)>;
-
   LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo& info,
              const RoutingState& routing, SprayPolicy spray, PfcConfig pfc,
-             LinkParams host_link, LinkParams fabric_link, sim::Rng rng);
+             LinkParams host_link, LinkParams fabric_link, sim::Rng rng, sim::Rng& fault_rng);
 
   void receive(Packet p, PortIndex in_port) override;
 
   [[nodiscard]] EgressPort& host_port(std::uint32_t local_index) {
-    return *host_ports_[local_index];
+    return port(PortIndex{local_index});
   }
-  [[nodiscard]] EgressPort& uplink(UplinkIndex u) { return *uplink_ports_[u.v()]; }
-  [[nodiscard]] const EgressPort& uplink(UplinkIndex u) const { return *uplink_ports_[u.v()]; }
-
-  void set_spine_ingress_hook(SpineIngressHook hook) { spine_hook_ = std::move(hook); }
-  void set_fault_rng(sim::Rng* rng);
+  [[nodiscard]] EgressPort& uplink(UplinkIndex u) { return port(info_.leaf_uplink_port(u)); }
+  [[nodiscard]] const EgressPort& uplink(UplinkIndex u) const {
+    return port(info_.leaf_uplink_port(u));
+  }
 
   [[nodiscard]] LeafId id() const { return id_; }
   [[nodiscard]] SprayPolicy spray_policy() const { return spray_; }
@@ -153,9 +181,6 @@ class LeafSwitch final : public Switch {
   /// segments-per-message and lane count share a factor, leaving a
   /// deterministic byte imbalance the load model cannot predict.
   std::vector<core::Bytes> sent_bytes_;  // [(dst_leaf * kNumPriorities + prio) * uplinks + u]
-  std::vector<std::unique_ptr<EgressPort>> host_ports_;
-  std::vector<std::unique_ptr<EgressPort>> uplink_ports_;
-  SpineIngressHook spine_hook_;
 };
 
 /// Spine switch. Port leaf * parallel + lane connects to that leaf's uplink
@@ -164,25 +189,21 @@ class LeafSwitch final : public Switch {
 class SpineSwitch final : public Switch {
  public:
   SpineSwitch(sim::Simulator& simulator, SpineId id, const TopologyInfo& info, PfcConfig pfc,
-              LinkParams fabric_link);
+              LinkParams fabric_link, sim::Rng& fault_rng);
 
   void receive(Packet p, PortIndex in_port) override;
 
-  [[nodiscard]] EgressPort& down_port(PortIndex port) { return *down_ports_[port.v()]; }
-  [[nodiscard]] const EgressPort& down_port(PortIndex port) const {
-    return *down_ports_[port.v()];
-  }
+  [[nodiscard]] EgressPort& down_port(PortIndex p) { return port(p); }
+  [[nodiscard]] const EgressPort& down_port(PortIndex p) const { return port(p); }
   [[nodiscard]] EgressPort& down_port_to(LeafId leaf, std::uint32_t lane) {
-    return *down_ports_[leaf.v() * info_.parallel + lane];
+    return port(PortIndex{leaf.v() * info_.parallel + lane});
   }
-  void set_fault_rng(sim::Rng* rng);
 
   [[nodiscard]] SpineId id() const { return id_; }
 
  private:
   SpineId id_;
   const TopologyInfo& info_;
-  std::vector<std::unique_ptr<EgressPort>> down_ports_;
 };
 
 }  // namespace flowpulse::net

@@ -21,10 +21,10 @@ std::vector<UplinkIndex> iota_candidates(std::uint32_t n) {
 
 PodSpineSwitch::PodSpineSwitch(sim::Simulator& simulator, std::uint32_t pod,
                                std::uint32_t index, const ThreeLevelInfo& info, PfcConfig pfc,
-                               LinkParams fabric_link)
+                               LinkParams fabric_link, sim::Rng& fault_rng)
     : Switch{simulator,
              "podspine" + std::to_string(pod) + "_" + std::to_string(index),
-             info.leaves_per_pod + info.cores_per_group(), pfc},
+             info.leaves_per_pod + info.cores_per_group(), PortIndex{info.leaves_per_pod}, pfc},
       pod_{pod},
       index_{index},
       info_{info},
@@ -33,46 +33,31 @@ PodSpineSwitch::PodSpineSwitch(sim::Simulator& simulator, std::uint32_t pod,
                   core::Bytes{}),
       spray_candidates_{iota_candidates(info.cores_per_group())} {
   for (std::uint32_t l = 0; l < info.leaves_per_pod; ++l) {
-    down_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, fabric_link, name() + ".down" + std::to_string(l)));
-    hook_depart(*down_ports_.back());
+    add_port(fabric_link, fault_rng, ".down" + std::to_string(l));
   }
   for (std::uint32_t k = 0; k < info.cores_per_group(); ++k) {
-    up_ports_.push_back(std::make_unique<EgressPort>(
-        simulator, fabric_link, name() + ".up" + std::to_string(k)));
-    hook_depart(*up_ports_.back());
+    add_port(fabric_link, fault_rng, ".up" + std::to_string(k));
   }
-}
-
-void PodSpineSwitch::set_fault_rng(sim::Rng* rng) {
-  for (auto& p : down_ports_) p->set_fault_rng(rng);
-  for (auto& p : up_ports_) p->set_fault_rng(rng);
 }
 
 void PodSpineSwitch::receive(Packet p, PortIndex in_port) {
-  pfc_on_arrival(p, in_port);
-  const bool from_core = in_port.v() >= info_.leaves_per_pod;
-  if (hook_ && from_core) hook_(in_port.v() - info_.leaves_per_pod, p);
-
+  on_arrival(p, in_port);
   const LeafId dst_leaf = info_.leaf_of(p.dst);
-  const std::uint32_t dst_pod = info_.pod_of_leaf(dst_leaf);
-  EgressPort* out = nullptr;
-  if (dst_pod == pod_) {
-    out = down_ports_[info_.local_leaf(dst_leaf)].get();
-  } else {
-    assert(!from_core && "core handed a packet to the wrong pod");
-    // Cross-pod: spray over this group's cores. Core-level faults are
-    // silent by construction, so every core is a routing candidate
-    // (spray_candidates_, precomputed per switch).
-    core::Bytes* deficit =
-        &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
-                      priority_index(p.priority)) *
-                     info_.cores_per_group()];
-    out = up_ports_[pick_byte_deficit(up_ports_, spray_candidates_, p, deficit).v()].get();
+  if (info_.pod_of_leaf(dst_leaf) == pod_) {
+    forward(p, in_port, down_port(info_.local_leaf(dst_leaf)));
+    return;
   }
-  ++counters_.forwarded_packets;
-  p.pfc_ingress = in_port;
-  out->enqueue(p);
+  assert(in_port.v() < info_.leaves_per_pod && "core handed a packet to the wrong pod");
+  // Cross-pod: spray over this group's cores. Core-level faults are
+  // silent by construction, so every core is a routing candidate
+  // (spray_candidates_, precomputed per switch).
+  core::Bytes* deficit =
+      &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
+                    priority_index(p.priority)) *
+                   info_.cores_per_group()];
+  const UplinkIndex k =
+      pick_byte_deficit(PortIndex{info_.leaves_per_pod}, spray_candidates_, p, deficit);
+  forward(p, in_port, core_uplink(k.v()));
 }
 
 // ---------------------------------------------------------------------------
@@ -93,23 +78,26 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
   const ThreeLevelInfo& shape = config_.shape;
 
   for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
-    hosts_.push_back(std::make_unique<Host>(sim_, h, config_.host_link));
+    hosts_.push_back(std::make_unique<Host>(sim_, h, config_.host_link, fault_rng_));
   }
   for (const LeafId l : core::ids<LeafId>(shape.num_leaves())) {
     // kAdaptive never draws from its spray RNG.
     leaves_.push_back(std::make_unique<LeafSwitch>(
         lane_for_pod(shape.pod_of_leaf(l)), l, leaf_tier_, routing_, SprayPolicy::kAdaptive,
-        config_.pfc, config_.host_link, config_.fabric_link, sim::Rng{config_.seed}));
+        config_.pfc, config_.host_link, config_.fabric_link, sim::Rng{config_.seed},
+        fault_rng_));
   }
   for (std::uint32_t pod = 0; pod < shape.pods; ++pod) {
     for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
-      pod_spines_.push_back(std::make_unique<PodSpineSwitch>(
-          lane_for_pod(pod), pod, s, config_.shape, config_.pfc, config_.fabric_link));
+      pod_spines_.push_back(std::make_unique<PodSpineSwitch>(lane_for_pod(pod), pod, s,
+                                                             config_.shape, config_.pfc,
+                                                             config_.fabric_link, fault_rng_));
     }
   }
   for (const SpineId c : core::ids<SpineId>(shape.num_cores())) {
     cores_.push_back(std::make_unique<SpineSwitch>(lane_for_core(c.v()), c, core_tier_,
-                                                   config_.pfc, config_.fabric_link));
+                                                   config_.pfc, config_.fabric_link,
+                                                   fault_rng_));
   }
 
   // Hosts ↔ leaves.
@@ -119,7 +107,6 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
     hosts_[h.v()]->nic().connect(leaves_[l.v()].get(), PortIndex{local});
     leaves_[l.v()]->set_upstream(PortIndex{local}, &hosts_[h.v()]->nic());
     leaves_[l.v()]->host_port(local).connect(hosts_[h.v()].get(), PortIndex{0});
-    hosts_[h.v()]->nic().set_fault_rng(&fault_rng_);
     link_lanes(hosts_[h.v()]->nic(), lane_for_pod(shape.pod_of_leaf(l)));
     link_lanes(leaves_[l.v()]->host_port(local), sim_);
   }
@@ -137,7 +124,6 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
       ps.down_port(local).connect(&leaf_sw, leaf_port);
       leaf_sw.set_upstream(leaf_port, &ps.down_port(local));
     }
-    leaf_sw.set_fault_rng(&fault_rng_);
   }
 
   // Pod-spines ↔ cores: pod p is the core tier's leaf p.
@@ -155,10 +141,8 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
         link_lanes(ps.core_uplink(k), lane_for_core(shape.core_id(s, k)));
         link_lanes(c.down_port(core_port), lane_for_pod(pod));
       }
-      ps.set_fault_rng(&fault_rng_);
     }
   }
-  for (auto& c : cores_) c->set_fault_rng(&fault_rng_);
 }
 
 sim::Simulator& ThreeLevelFatTree::lane_for_pod(std::uint32_t pod) const {
@@ -207,27 +191,10 @@ void ThreeLevelFatTree::set_core_downlink_fault(std::uint32_t pod, std::uint32_t
 
 LinkCounters ThreeLevelFatTree::total_fabric_counters() const {
   LinkCounters total{};
-  const ThreeLevelInfo& shape = config_.shape;
   for (const auto& h : hosts_) total += h->nic().counters();
-  for (const auto& leaf : leaves_) {
-    for (std::uint32_t i = 0; i < shape.hosts_per_leaf; ++i) {
-      total += leaf->host_port(i).counters();
-    }
-    for (const UplinkIndex u : core::ids<UplinkIndex>(shape.spines_per_pod)) {
-      total += leaf->uplink(u).counters();
-    }
-  }
-  for (const auto& ps : pod_spines_) {
-    for (std::uint32_t l = 0; l < shape.leaves_per_pod; ++l) total += ps->down_port(l).counters();
-    for (std::uint32_t k = 0; k < shape.cores_per_group(); ++k) {
-      total += ps->core_uplink(k).counters();
-    }
-  }
-  for (const auto& c : cores_) {
-    for (const PortIndex pod : core::ids<PortIndex>(shape.pods)) {
-      total += c->down_port(pod).counters();
-    }
-  }
+  for (const auto& leaf : leaves_) total += leaf->link_counters();
+  for (const auto& ps : pod_spines_) total += ps->link_counters();
+  for (const auto& c : cores_) total += c->link_counters();
   return total;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -73,27 +72,27 @@ struct ThreeLevelInfo {
   }
 };
 
-/// Pod-spine (aggregation) switch: one downlink per leaf of its pod, one
-/// uplink per core of its group. Cross-pod traffic is sprayed over the
-/// cores (per-packet, byte-deficit); same-pod traffic turns around here.
+/// Pod-spine (aggregation) switch: port l leads down to local leaf l, and
+/// port leaves_per_pod + k up to core k of its group, which the ingress tap
+/// reports as k (FlowPulse at the spine level, §7). Cross-pod traffic is
+/// sprayed over the cores (per-packet, byte-deficit); same-pod traffic
+/// turns around here.
 class PodSpineSwitch final : public Switch {
  public:
-  using IngressHook = std::function<void(std::uint32_t /*core k*/, const Packet&)>;
-
   PodSpineSwitch(sim::Simulator& simulator, std::uint32_t pod, std::uint32_t index,
-                 const ThreeLevelInfo& info, PfcConfig pfc, LinkParams fabric_link);
+                 const ThreeLevelInfo& info, PfcConfig pfc, LinkParams fabric_link,
+                 sim::Rng& fault_rng);
 
   void receive(Packet p, PortIndex in_port) override;
 
   // detlint: ok(raw-scalar-id): pod-local ordinal, not a global id — the
   // documented raw-index face of the three-level API
   [[nodiscard]] EgressPort& down_port(std::uint32_t local_leaf) {
-    return *down_ports_[local_leaf];
+    return port(PortIndex{local_leaf});
   }
-  [[nodiscard]] EgressPort& core_uplink(std::uint32_t k) { return *up_ports_[k]; }
-  /// Tap on packets arriving from cores (FlowPulse at the spine level, §7).
-  void set_core_ingress_hook(IngressHook hook) { hook_ = std::move(hook); }
-  void set_fault_rng(sim::Rng* rng);
+  [[nodiscard]] EgressPort& core_uplink(std::uint32_t k) {
+    return port(PortIndex{info_.leaves_per_pod + k});
+  }
 
   [[nodiscard]] std::uint32_t pod() const { return pod_; }
   [[nodiscard]] std::uint32_t index() const { return index_; }
@@ -102,8 +101,6 @@ class PodSpineSwitch final : public Switch {
   std::uint32_t pod_;
   std::uint32_t index_;
   const ThreeLevelInfo& info_;
-  std::vector<std::unique_ptr<EgressPort>> down_ports_;  // per local leaf
-  std::vector<std::unique_ptr<EgressPort>> up_ports_;    // per core of the group
   std::vector<core::Bytes> sent_bytes_;  // [dst_leaf * prios + prio][core k]
   /// Spray candidates for cross-pod traffic: every core of this group, in
   /// index order, precomputed once. Per-switch (so per-lane) state — this
@@ -112,7 +109,6 @@ class PodSpineSwitch final : public Switch {
   /// hidden static scratch is exactly the cross-lane sharing the sharded
   /// event core must not inherit.
   std::vector<UplinkIndex> spray_candidates_;
-  IngressHook hook_;
 };
 
 struct ThreeLevelConfig {

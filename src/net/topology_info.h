@@ -50,10 +50,6 @@ struct TopologyInfo {
   [[nodiscard]] constexpr PortIndex leaf_uplink_port(UplinkIndex u) const {
     return PortIndex{hosts_per_leaf + u.v()};
   }
-  /// Inverse of leaf_uplink_port: which uplink a leaf port carries.
-  [[nodiscard]] constexpr UplinkIndex uplink_of_leaf_port(PortIndex port) const {
-    return UplinkIndex{port.v() - hosts_per_leaf};
-  }
 };
 
 }  // namespace flowpulse::net

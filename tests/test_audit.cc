@@ -13,7 +13,9 @@
 
 #include "exp/scenario.h"
 #include "flowpulse/system.h"
+#include "flowpulse/three_level_system.h"
 #include "net/fat_tree.h"
+#include "net/three_level.h"
 #include "net/packet.h"
 #include "core/strong_id.h"
 #include "core/units.h"
@@ -194,7 +196,10 @@ TEST(Audit, DoubleDeliveredMessageFires) {
 TEST(Audit, PhantomMonitoredBytesFireReconciliation) {
   Simulator sim{1};
   net::FatTree net{sim, small_fabric()};
-  fp::FlowPulseSystem system{net, fp::SystemConfig{}};
+  fp::FlowPulseSystem system{fp::Tier::leaves_of(net.info()), fp::SystemConfig{}};
+  for (const net::LeafId l : core::ids<net::LeafId>(net.info().leaves)) {
+    system.attach(l, net.leaf(l));
+  }
 
   // The monitor claims bytes the fabric never delivered: feed a tagged
   // packet straight into the leaf-0 monitor, bypassing the switch.
@@ -208,6 +213,28 @@ TEST(Audit, PhantomMonitoredBytesFireReconciliation) {
   } catch (const audit::ViolationError& e) {
     EXPECT_EQ(e.violation().invariant, "monitor-reconciliation");
     EXPECT_EQ(e.violation().entity, "leaf0.up0");
+  }
+}
+
+TEST(Audit, PhantomPodSpineBytesFireReconciliation) {
+  Simulator sim{1};
+  net::ThreeLevelConfig cfg;
+  cfg.shape = net::ThreeLevelInfo{2, 2, 2, 1};
+  net::ThreeLevelFatTree net{sim, cfg};
+  fp::ThreeLevelFlowPulse fp{net};
+
+  // Pod-spine 1 of pod 1 (row 3 of the spine tier) claims bytes that core 1
+  // of its group never delivered.
+  fp.spine_tier().monitor(net::LeafId{3}).record(net::UplinkIndex{1},
+                                                 tagged_packet(1000, /*iteration=*/0));
+
+  const audit::ScopedHandler guard{&throw_violation};
+  try {
+    fp.flush();
+    FAIL() << "monitor-reconciliation violation did not fire";
+  } catch (const audit::ViolationError& e) {
+    EXPECT_EQ(e.violation().invariant, "monitor-reconciliation");
+    EXPECT_EQ(e.violation().entity, "podspine1_1.up1");
   }
 }
 

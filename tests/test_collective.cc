@@ -270,7 +270,7 @@ TEST(Runner, JitterDelaysButCompletes) {
 TEST(Runner, TagsPacketsWithIterationFlowId) {
   Rig rig;
   std::set<net::FlowId> seen;
-  rig.net.leaf(net::LeafId{1}).set_spine_ingress_hook([&](net::UplinkIndex, const net::Packet& p) {
+  rig.net.leaf(net::LeafId{1}).set_ingress_tap([&](net::UplinkIndex, const net::Packet& p) {
     if (p.kind == net::PacketKind::kData) seen.insert(p.flow_id);
   });
   CollectiveConfig cc = base_config(4, core::Bytes{32 * 1024}, 3);
@@ -288,7 +288,7 @@ TEST(Runner, TagsPacketsWithIterationFlowId) {
 TEST(Runner, UntaggedJobProducesNoSentinel) {
   Rig rig;
   bool sentinel_seen = false;
-  rig.net.leaf(net::LeafId{1}).set_spine_ingress_hook([&](net::UplinkIndex, const net::Packet& p) {
+  rig.net.leaf(net::LeafId{1}).set_ingress_tap([&](net::UplinkIndex, const net::Packet& p) {
     if (net::flowid::is_collective(p.flow_id)) sentinel_seen = true;
   });
   CollectiveConfig cc = base_config(4, core::Bytes{32 * 1024}, 2);

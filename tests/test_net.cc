@@ -44,9 +44,10 @@ Packet make_packet(std::uint32_t size, Priority prio = Priority::kCollective) {
 
 class EgressPortTest : public ::testing::Test {
  protected:
-  EgressPortTest() : port_{sim_, LinkParams{core::GbitsPerSec{400.0}, Time::nanoseconds(100)}, "t"} {
+  EgressPortTest()
+      : port_{sim_, LinkParams{core::GbitsPerSec{400.0}, Time::nanoseconds(100)}, "t", nullptr,
+              sim_.rng()} {
     port_.connect(&sink_, PortIndex{7});
-    port_.set_fault_rng(&sim_.rng());
   }
   Simulator sim_{1};
   SinkDevice sink_;

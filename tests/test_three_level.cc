@@ -349,7 +349,8 @@ TEST(ThreeLevelFlowPulse, CoreLinkFaultLocalizedAtSpineTier) {
 
 // The 1k golden (test_lanes.cc) injects only black holes, which never draw
 // from the fabric's fault RNG. This one drops at random on both monitored
-// tiers, so a switch that wires set_fault_rng differently moves its hash.
+// tiers, so a switch whose ports sample faults from a different RNG moves
+// its hash.
 // Both faults are silent (telemetry counts no drop), and every message stays
 // far below the PFC XOFF so no pause fires: audit builds arm a watchdog
 // event per pause and would hash differently.
