@@ -8,12 +8,11 @@ namespace flowpulse::core {
 
 /// FIFO queue on one contiguous power-of-two circular buffer.
 ///
-/// Built for the simulator's per-packet queues (egress classes, packets on
-/// the wire, the event queue's constant-delay FIFOs), where std::deque
-/// costs a 576-byte map plus node allocation at construction and a fresh
-/// node every few pushes. A Ring allocates nothing until its first push,
-/// then only when it doubles, and a steady-state push/pop touches one slot
-/// and two indices.
+/// Built for the simulator's per-packet queues (egress classes, the event
+/// queue's constant-delay FIFOs), where std::deque costs a 576-byte map
+/// plus node allocation at construction and a fresh node every few pushes.
+/// A Ring allocates nothing until its first push, then only when it
+/// doubles, and a steady-state push/pop touches one slot and two indices.
 ///
 /// Slots are ordinary T objects: pop_front() moves the element out and
 /// leaves a moved-from T in its slot until a later push assigns over it,

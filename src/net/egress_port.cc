@@ -7,9 +7,10 @@
 
 namespace flowpulse::net {
 
-EgressPort::EgressPort(sim::Simulator& simulator, LinkParams params, std::string name,
-                       Switch* sw, sim::Rng& fault_rng)
+EgressPort::EgressPort(sim::Simulator& simulator, PacketPool& pool, LinkParams params,
+                       std::string name, Switch* sw, sim::Rng& fault_rng)
     : sim_{simulator},
+      pool_{pool},
       params_{params},
       name_{std::move(name)},
       switch_{sw},
@@ -30,14 +31,14 @@ std::size_t EgressPort::queued_packets() const {
   return n;
 }
 
-void EgressPort::enqueue(Packet p) {
+void EgressPort::enqueue(const Packet& p) {
 #if FP_AUDIT_ENABLED
   audit_enqueued_bytes_ += p.size_bytes;
 #endif
   const int pi = priority_index(p.priority);
   queued_bytes_[pi] += p.size_bytes;
   queued_bytes_total_ += p.size_bytes;
-  queues_[pi].push_back(p);
+  queues_[pi].push_back(pool_.put(p));
   try_start();
 }
 
@@ -51,11 +52,14 @@ void EgressPort::try_start() {
   for (int pi = 0; pi < kNumPriorities; ++pi) {
     if (paused_[pi] || queues_[pi].empty()) continue;
     in_flight_ = queues_[pi].pop_front();
-    queued_bytes_[pi] -= in_flight_.size_bytes;
-    queued_bytes_total_ -= in_flight_.size_bytes;
+    // pfc_on_depart only schedules PAUSE/RESUME frames and never enqueues,
+    // so this reference into the pool stays valid throughout.
+    const Packet& p = pool_[in_flight_];
+    queued_bytes_[pi] -= p.size_bytes;
+    queued_bytes_total_ -= p.size_bytes;
     transmitting_ = true;
-    if (switch_ != nullptr) switch_->pfc_on_depart(in_flight_);
-    sim_.schedule_in(core::serialization_time(in_flight_.size_bytes, params_.bandwidth),
+    if (switch_ != nullptr) switch_->pfc_on_depart(p);
+    sim_.schedule_in(core::serialization_time(p.size_bytes, params_.bandwidth),
                      [this] { finish_transmission(); });
     return;
   }
@@ -63,11 +67,12 @@ void EgressPort::try_start() {
 
 void EgressPort::finish_transmission() {
   assert(peer_ != nullptr && "EgressPort used before connect()");
-  const Packet pkt = in_flight_;
+  const PacketRef ref = in_flight_;
   transmitting_ = false;
+  const core::Bytes size = pool_[ref].size_bytes;
 
   ++counters_.tx_packets;
-  counters_.tx_bytes += pkt.size_bytes;
+  counters_.tx_bytes += size;
 
   bool dropped = false;
   if (fault_.spec().kind != FaultSpec::Kind::kNone) {
@@ -80,44 +85,61 @@ void EgressPort::finish_transmission() {
   }
 
   if (dropped) {
+    const Packet pkt = pool_.take(ref);
     ++counters_.dropped_packets;
-    counters_.dropped_bytes += pkt.size_bytes;
+    counters_.dropped_bytes += size;
     if (fault_.spec().visible_to_counters) ++counters_.telemetry_dropped_packets;
-    FP_TRACE(sim_, kPacketDrop, name_.c_str(), pkt.src.v(), pkt.dst.v(), pkt.size_bytes.v(), 0.0,
+    FP_TRACE(sim_, kPacketDrop, name_.c_str(), pkt.src.v(), pkt.dst.v(), size.v(), 0.0,
              fault_.spec().visible_to_counters ? "counted" : "silent");
     if (tx_hook_) tx_hook_(pkt, TxEvent::kDropped);
   } else {
-    if (tx_hook_) tx_hook_(pkt, TxEvent::kOnWire);
+    if (tx_hook_) {
+      // The hook may enqueue on this lane's pool and grow it: hand it a
+      // copy, never a reference into the pool.
+      const Packet pkt = pool_[ref];
+      tx_hook_(pkt, TxEvent::kOnWire);
+    }
     if (peer_sim_ != nullptr) {
-      // Cross-lane hop: the packet rides the mailbox callable by value (a
-      // LaneFn is sized for exactly this), so the destination lane needs
-      // nothing from this lane's state at delivery time.
+      // Cross-lane hop: the packet leaves this lane's pool and rides the
+      // mailbox callable by value (a LaneFn is sized for exactly this), so
+      // the destination lane needs nothing from this lane's state at
+      // delivery time.
       sim_.post_remote(
           *peer_sim_, params_.prop_delay,
           // fplint: ok(lane-capture): deliver_remote touches only ingress
           // state owned by the destination lane this callable is posted to
-          sim::LaneFn{[this, pkt] { deliver_remote(pkt); }});
+          sim::LaneFn{[this, pkt = pool_.take(ref)] { deliver_remote(pkt); }});
     } else {
-      // The propagation event captures only `this`: packets on the wire live
-      // in on_wire_ and, because prop_delay is one constant per link, arrive
-      // in the order they were sent — the event always delivers the front.
-      on_wire_.push_back(pkt);
-      sim_.schedule_in(params_.prop_delay, [this] { deliver_front(); });
+#if FP_AUDIT_ENABLED
+      ++audit_on_wire_packets_;
+#endif
+      sim_.schedule_in(params_.prop_delay, [this, ref] { deliver(ref); });
     }
   }
 
   try_start();
 }
 
-void EgressPort::deliver_front() {
-  assert(!on_wire_.empty());
-  deliver_remote(on_wire_.pop_front());
+void EgressPort::deliver(PacketRef ref) {
+#if FP_AUDIT_ENABLED
+  --audit_on_wire_packets_;
+  audit_count_delivery(pool_[ref]);
+#endif
+  // The slot is free before the peer runs, so the next hop's enqueue
+  // reuses it while it is still in cache.
+  peer_->receive(pool_.take(ref), peer_port_);
 }
 
-// Delivery tail shared by the lane-local path (via deliver_front) and the
-// cross-lane mailbox path, where it runs on the peer's lane.
+// Delivery on the peer's lane for a packet that crossed lanes.
 void EgressPort::deliver_remote(const Packet& pkt) {
 #if FP_AUDIT_ENABLED
+  audit_count_delivery(pkt);
+#endif
+  peer_->receive(pkt, peer_port_);
+}
+
+#if FP_AUDIT_ENABLED
+void EgressPort::audit_count_delivery(const Packet& pkt) {
   audit_delivered_bytes_ += pkt.size_bytes;
   ++audit_delivered_packets_;
   // Mirror the PortMonitor's selection filter (kind + collective sentinel)
@@ -125,19 +147,17 @@ void EgressPort::deliver_remote(const Packet& pkt) {
   if (pkt.kind == PacketKind::kData && flowid::is_collective(pkt.flow_id)) {
     audit_tagged_bytes_by_job_[flowid::job_of(pkt.flow_id)] += pkt.size_bytes;
   }
-#endif
-  peer_->receive(pkt, peer_port_);
 }
 
-#if FP_AUDIT_ENABLED
 void EgressPort::audit_verify_quiescent() const {
-  FP_AUDIT(!transmitting_ && on_wire_.empty(), "link-conservation", name_,
+  FP_AUDIT(!transmitting_ && audit_on_wire_packets_ == 0, "link-conservation", name_,
            counters_.tx_packets.v(), sim_.now().ps(),
            "packets stranded mid-link at quiesce: transmitting=" +
-               std::to_string(transmitting_) + " on_wire=" + std::to_string(on_wire_.size()));
+               std::to_string(transmitting_) +
+               " on_wire=" + std::to_string(audit_on_wire_packets_));
   core::Bytes queued{};
   for (const auto& q : queues_) {
-    for (std::size_t i = 0; i < q.size(); ++i) queued += q[i].size_bytes;
+    for (std::size_t i = 0; i < q.size(); ++i) queued += pool_[q[i]].size_bytes;
   }
   FP_AUDIT(queued == queued_bytes_total_, "link-conservation", name_,
            counters_.tx_packets.v(), sim_.now().ps(),

@@ -11,6 +11,7 @@
 #include "net/device.h"
 #include "net/fault.h"
 #include "net/packet.h"
+#include "net/packet_pool.h"
 #include "net/types.h"
 #include "sim/audit.h"
 #include "sim/rng.h"
@@ -40,6 +41,9 @@ struct LinkParams {
 ///
 /// PFC pause affects only the *start* of transmissions — an in-flight packet
 /// always completes, as on real hardware.
+///
+/// Queued and propagating packets live in the PacketPool of the lane that
+/// drives the port; the port itself moves only PacketRef handles.
 class EgressPort {
  public:
   /// What happened to a packet at this port (for transmit hooks).
@@ -49,10 +53,11 @@ class EgressPort {
   };
   using TxHook = std::function<void(const Packet&, TxEvent)>;
 
-  /// `sw` is the switch whose shared buffer a departing packet leaves
-  /// (nullptr for a host NIC); `fault_rng` samples probabilistic faults.
-  EgressPort(sim::Simulator& simulator, LinkParams params, std::string name, Switch* sw,
-             sim::Rng& fault_rng);
+  /// `pool` is the packet pool of `simulator`'s lane; `sw` is the switch
+  /// whose shared buffer a departing packet leaves (nullptr for a host NIC);
+  /// `fault_rng` samples probabilistic faults.
+  EgressPort(sim::Simulator& simulator, PacketPool& pool, LinkParams params, std::string name,
+             Switch* sw, sim::Rng& fault_rng);
 
   EgressPort(const EgressPort&) = delete;
   EgressPort& operator=(const EgressPort&) = delete;
@@ -73,8 +78,8 @@ class EgressPort {
   /// lanes (see Switch::send_pause and the laned FatTree constructors).
   [[nodiscard]] sim::Simulator& owner() const { return sim_; }
 
-  /// Queue a packet for transmission; starts transmitting if idle.
-  void enqueue(Packet p);
+  /// Queue a copy of `p` for transmission; starts transmitting if idle.
+  void enqueue(const Packet& p);
 
   /// PFC: (un)pause one priority class.
   void set_paused(Priority prio, bool paused);
@@ -103,7 +108,8 @@ class EgressPort {
   [[nodiscard]] const FaultModel& fault_model() const { return fault_; }
 
   /// Observe wire transmissions (used by the transport for RTO timing and
-  /// by tests). Fires after serialization, before propagation.
+  /// by tests). Fires after serialization, before propagation, with a copy
+  /// of the packet, so the hook may enqueue on any port.
   void set_tx_hook(TxHook hook) { tx_hook_ = std::move(hook); }
 
   [[nodiscard]] const LinkCounters& counters() const { return counters_; }
@@ -133,10 +139,14 @@ class EgressPort {
  private:
   void try_start();
   void finish_transmission();
-  void deliver_front();
+  void deliver(PacketRef ref);
   void deliver_remote(const Packet& pkt);
+#if FP_AUDIT_ENABLED
+  void audit_count_delivery(const Packet& pkt);
+#endif
 
   sim::Simulator& sim_;
+  PacketPool& pool_;
   LinkParams params_;
   std::string name_;
   Switch* switch_;
@@ -144,27 +154,27 @@ class EgressPort {
   Device* peer_ = nullptr;
   PortIndex peer_port_ = kInvalidPort;
   /// Destination lane for cross-lane links; nullptr for lane-local links.
-  /// Writes stay partitioned: the owning lane writes queues/counters/
-  /// on_wire_, the peer lane (inside deliver_remote) writes only the
+  /// Writes stay partitioned: the owning lane writes queues/counters and
+  /// its pool, the peer lane (inside deliver_remote) writes only the
   /// delivery-side audit ledgers — no field is touched by both.
   sim::Simulator* peer_sim_ = nullptr;
 
-  std::array<core::Ring<Packet>, kNumPriorities> queues_;
+  std::array<core::Ring<PacketRef>, kNumPriorities> queues_;
   std::array<core::Bytes, kNumPriorities> queued_bytes_{};
   core::Bytes queued_bytes_total_{};
   std::array<bool, kNumPriorities> paused_{};
 
   bool transmitting_ = false;
-  Packet in_flight_{};
-  /// Packets serialized and surviving the fault model, ordered by (equal)
-  /// remaining propagation time; the propagation event delivers the front.
-  core::Ring<Packet> on_wire_;
+  PacketRef in_flight_{};
 
   FaultModel fault_{};
   LinkCounters counters_{};
   TxHook tx_hook_;
 
 #if FP_AUDIT_ENABLED
+  /// Packets propagating on a lane-local link (each one a pending deliver
+  /// event); cross-lane packets ride the mailbox instead.
+  std::uint32_t audit_on_wire_packets_ = 0;
   core::Bytes audit_enqueued_bytes_{};
   core::Bytes audit_delivered_bytes_{};
   core::Packets audit_delivered_packets_{};

@@ -12,7 +12,8 @@ FatTree::FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config)
       config_{config},
       routing_{config.shape.leaves, config.shape.uplinks_per_leaf()},
       fault_rng_{config.seed ^ 0xfa017ull},
-      lanes_{std::move(lanes)} {
+      lanes_{std::move(lanes)},
+      pools_(lanes_.size()) {
   const TopologyInfo& shape = config_.shape;
   // The spray seeder consumes splits in leaf construction order regardless
   // of lane layout, so per-leaf spray streams are identical in every build.
@@ -20,19 +21,22 @@ FatTree::FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config)
 
   hosts_.reserve(shape.num_hosts());
   for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
-    hosts_.push_back(std::make_unique<Host>(sim_, h, config_.host_link, fault_rng_));
+    hosts_.push_back(
+        std::make_unique<Host>(sim_, pools_[0], h, config_.host_link, fault_rng_));
   }
   leaves_.reserve(shape.leaves);
   for (const LeafId l : core::ids<LeafId>(shape.leaves)) {
-    leaves_.push_back(std::make_unique<LeafSwitch>(lane_for_leaf(l), l, config_.shape, routing_,
-                                                   config_.spray, config_.pfc,
-                                                   config_.host_link, config_.fabric_link,
-                                                   spray_seeder.split(), fault_rng_));
+    const std::size_t lane = leaf_lane(l);
+    leaves_.push_back(std::make_unique<LeafSwitch>(
+        *lanes_[lane], pools_[lane], l, config_.shape, routing_, config_.spray, config_.pfc,
+        config_.host_link, config_.fabric_link, spray_seeder.split(), fault_rng_));
   }
   spines_.reserve(shape.spines);
   for (const SpineId s : core::ids<SpineId>(shape.spines)) {
-    spines_.push_back(std::make_unique<SpineSwitch>(lane_for_spine(s), s, config_.shape,
-                                                    config_.pfc, config_.fabric_link, fault_rng_));
+    const std::size_t lane = spine_lane(s);
+    spines_.push_back(std::make_unique<SpineSwitch>(*lanes_[lane], pools_[lane], s,
+                                                    config_.shape, config_.pfc,
+                                                    config_.fabric_link, fault_rng_));
   }
 
   // Wire host <-> leaf.
@@ -44,7 +48,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config)
     host.nic().connect(&leaf_sw, PortIndex{local});
     leaf_sw.set_upstream(PortIndex{local}, &host.nic());  // leaf can PFC-pause the NIC
     leaf_sw.host_port(local).connect(&host, PortIndex{0});
-    link_lanes(host.nic(), lane_for_leaf(l));
+    link_lanes(host.nic(), *lanes_[leaf_lane(l)]);
     link_lanes(leaf_sw.host_port(local), sim_);
   }
 
@@ -59,22 +63,20 @@ FatTree::FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config)
       spine_sw.set_upstream(spine_port, &leaf_sw.uplink(u));
       spine_sw.down_port(spine_port).connect(&leaf_sw, leaf_port);
       leaf_sw.set_upstream(leaf_port, &spine_sw.down_port(spine_port));
-      link_lanes(leaf_sw.uplink(u), lane_for_spine(shape.spine_of(u)));
-      link_lanes(spine_sw.down_port(spine_port), lane_for_leaf(l));
+      link_lanes(leaf_sw.uplink(u), *lanes_[spine_lane(shape.spine_of(u))]);
+      link_lanes(spine_sw.down_port(spine_port), *lanes_[leaf_lane(l)]);
     }
   }
 }
 
-sim::Simulator& FatTree::lane_for_leaf(LeafId l) const {
-  if (lanes_.size() <= 1) return sim_;
-  const auto groups = static_cast<std::uint32_t>(lanes_.size() - 1);
-  return *lanes_[1 + l.v() % groups];
+std::size_t FatTree::leaf_lane(LeafId l) const {
+  if (lanes_.size() <= 1) return 0;
+  return 1 + l.v() % (lanes_.size() - 1);
 }
 
-sim::Simulator& FatTree::lane_for_spine(SpineId s) const {
-  if (lanes_.size() <= 1) return sim_;
-  const auto groups = static_cast<std::uint32_t>(lanes_.size() - 1);
-  return *lanes_[1 + s.v() % groups];
+std::size_t FatTree::spine_lane(SpineId s) const {
+  if (lanes_.size() <= 1) return 0;
+  return 1 + s.v() % (lanes_.size() - 1);
 }
 
 void FatTree::link_lanes(EgressPort& port, sim::Simulator& dst) {

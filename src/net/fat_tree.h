@@ -7,6 +7,7 @@
 #include "net/egress_port.h"
 #include "net/fault.h"
 #include "net/host.h"
+#include "net/packet_pool.h"
 #include "net/routing.h"
 #include "net/switch.h"
 #include "net/topology_info.h"
@@ -43,8 +44,9 @@ class FatTree {
   /// experiment layer schedules on `simulator()`); leaf l goes to lane
   /// 1 + (l mod (lanes-1)) and spine s to lane 1 + (s mod (lanes-1)), so
   /// every leaf<->spine and host<->leaf hop that lands on a different lane
-  /// is wired through the lane mailbox (EgressPort::set_peer_lane). A
-  /// one-element vector degenerates to the serial build above.
+  /// is wired through the lane mailbox (EgressPort::set_peer_lane). Each
+  /// lane's devices queue into that lane's own PacketPool. A one-element
+  /// vector degenerates to the serial build above.
   FatTree(std::vector<sim::Simulator*> lanes, FatTreeConfig config);
 
   FatTree(const FatTree&) = delete;
@@ -88,8 +90,9 @@ class FatTree {
 
  private:
   [[nodiscard]] EgressPort& downlink(LeafId leaf, UplinkIndex u);
-  [[nodiscard]] sim::Simulator& lane_for_leaf(LeafId l) const;
-  [[nodiscard]] sim::Simulator& lane_for_spine(SpineId s) const;
+  /// Index into lanes_ and pools_ of the lane that drives leaf l / spine s.
+  [[nodiscard]] std::size_t leaf_lane(LeafId l) const;
+  [[nodiscard]] std::size_t spine_lane(SpineId s) const;
   /// Mark `port` cross-lane if its transmit lane differs from `dst`, and
   /// fold its propagation delay into the lookahead bound.
   void link_lanes(EgressPort& port, sim::Simulator& dst);
@@ -99,6 +102,9 @@ class FatTree {
   RoutingState routing_;
   sim::Rng fault_rng_;
   std::vector<sim::Simulator*> lanes_;
+  /// pools_[i] holds the packets of the devices lanes_[i] drives. Sized
+  /// once at construction: devices keep references into it.
+  std::vector<PacketPool> pools_;
   sim::Time min_cross_lane_latency_ = sim::Time::max();
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<LeafSwitch>> leaves_;

@@ -5,6 +5,7 @@
 
 #include "net/device.h"
 #include "net/egress_port.h"
+#include "net/packet_pool.h"
 #include "net/types.h"
 #include "sim/simulator.h"
 
@@ -18,9 +19,13 @@ class Host final : public Device {
  public:
   using RxHandler = std::function<void(const Packet&)>;
 
-  Host(sim::Simulator& simulator, HostId id, LinkParams to_leaf, sim::Rng& fault_rng)
+  /// `pool` is the packet pool of `simulator`'s lane, which the NIC queues
+  /// into.
+  Host(sim::Simulator& simulator, PacketPool& pool, HostId id, LinkParams to_leaf,
+       sim::Rng& fault_rng)
       : id_{id},
-        nic_{simulator, to_leaf, "host" + std::to_string(id.v()) + ".nic", nullptr, fault_rng} {}
+        nic_{simulator, pool, to_leaf, "host" + std::to_string(id.v()) + ".nic", nullptr,
+             fault_rng} {}
 
   void receive(Packet p, PortIndex /*in_port*/) override {
     if (rx_) rx_(p);

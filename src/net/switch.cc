@@ -26,9 +26,10 @@ std::uint64_t flow_hash(const Packet& p) {
 // Switch (base)
 // ---------------------------------------------------------------------------
 
-Switch::Switch(sim::Simulator& simulator, std::string name, std::uint32_t num_ports,
-               PortIndex first_up_port, PfcConfig pfc)
+Switch::Switch(sim::Simulator& simulator, PacketPool& pool, std::string name,
+               std::uint32_t num_ports, PortIndex first_up_port, PfcConfig pfc)
     : sim_{simulator},
+      pool_{pool},
       name_{std::move(name)},
       pfc_{pfc},
       first_up_port_{first_up_port},
@@ -44,7 +45,8 @@ Switch::Switch(sim::Simulator& simulator, std::string name, std::uint32_t num_po
 
 void Switch::add_port(LinkParams link, sim::Rng& fault_rng, const std::string& suffix) {
   assert(ports_.size() < upstream_.size());
-  ports_.push_back(std::make_unique<EgressPort>(sim_, link, name_ + suffix, this, fault_rng));
+  ports_.push_back(
+      std::make_unique<EgressPort>(sim_, pool_, link, name_ + suffix, this, fault_rng));
 }
 
 void Switch::set_upstream(PortIndex in_port, EgressPort* upstream) {
@@ -150,11 +152,11 @@ void Switch::send_pause(PortIndex in_port, Priority prio, bool pause) {
 // LeafSwitch
 // ---------------------------------------------------------------------------
 
-LeafSwitch::LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo& info,
-                       const RoutingState& routing, SprayPolicy spray, PfcConfig pfc,
-                       LinkParams host_link, LinkParams fabric_link, sim::Rng rng,
+LeafSwitch::LeafSwitch(sim::Simulator& simulator, PacketPool& pool, LeafId id,
+                       const TopologyInfo& info, const RoutingState& routing, SprayPolicy spray,
+                       PfcConfig pfc, LinkParams host_link, LinkParams fabric_link, sim::Rng rng,
                        sim::Rng& fault_rng)
-    : Switch{simulator, "leaf" + std::to_string(id.v()),
+    : Switch{simulator, pool, "leaf" + std::to_string(id.v()),
              info.hosts_per_leaf + info.uplinks_per_leaf(),
              info.leaf_uplink_port(UplinkIndex{0}), pfc},
       id_{id},
@@ -279,9 +281,10 @@ UplinkIndex Switch::pick_byte_deficit(PortIndex first,
 // SpineSwitch
 // ---------------------------------------------------------------------------
 
-SpineSwitch::SpineSwitch(sim::Simulator& simulator, SpineId id, const TopologyInfo& info,
-                         PfcConfig pfc, LinkParams fabric_link, sim::Rng& fault_rng)
-    : Switch{simulator, "spine" + std::to_string(id.v()), info.leaves * info.parallel,
+SpineSwitch::SpineSwitch(sim::Simulator& simulator, PacketPool& pool, SpineId id,
+                         const TopologyInfo& info, PfcConfig pfc, LinkParams fabric_link,
+                         sim::Rng& fault_rng)
+    : Switch{simulator, pool, "spine" + std::to_string(id.v()), info.leaves * info.parallel,
              /*first_up_port=*/kInvalidPort, pfc},
       id_{id},
       info_{info} {

@@ -11,6 +11,7 @@
 #include "net/counters.h"
 #include "net/device.h"
 #include "net/egress_port.h"
+#include "net/packet_pool.h"
 #include "net/routing.h"
 #include "net/topology_info.h"
 #include "net/types.h"
@@ -70,8 +71,10 @@ class Switch : public Device {
 
  protected:
   /// Ports [first_up_port, num_ports) face up; kInvalidPort when none do.
-  Switch(sim::Simulator& simulator, std::string name, std::uint32_t num_ports,
-         PortIndex first_up_port, PfcConfig pfc);
+  /// `pool` is the packet pool of `simulator`'s lane, which every port of
+  /// this switch queues into.
+  Switch(sim::Simulator& simulator, PacketPool& pool, std::string name,
+         std::uint32_t num_ports, PortIndex first_up_port, PfcConfig pfc);
 
   /// Create the next egress port, named after this switch plus `suffix`.
   /// Subclasses call it once per port, in port order.
@@ -107,6 +110,7 @@ class Switch : public Device {
  private:
   void send_pause(PortIndex in_port, Priority prio, bool pause);
 
+  PacketPool& pool_;
   std::string name_;
   PfcConfig pfc_;
   PortIndex first_up_port_;
@@ -132,7 +136,7 @@ class Switch : public Device {
 /// sprayed, matching the paper's network model.
 class LeafSwitch final : public Switch {
  public:
-  LeafSwitch(sim::Simulator& simulator, LeafId id, const TopologyInfo& info,
+  LeafSwitch(sim::Simulator& simulator, PacketPool& pool, LeafId id, const TopologyInfo& info,
              const RoutingState& routing, SprayPolicy spray, PfcConfig pfc,
              LinkParams host_link, LinkParams fabric_link, sim::Rng rng, sim::Rng& fault_rng);
 
@@ -188,8 +192,8 @@ class LeafSwitch final : public Switch {
 /// same lane it arrived on (virtual-switch semantics for parallel links).
 class SpineSwitch final : public Switch {
  public:
-  SpineSwitch(sim::Simulator& simulator, SpineId id, const TopologyInfo& info, PfcConfig pfc,
-              LinkParams fabric_link, sim::Rng& fault_rng);
+  SpineSwitch(sim::Simulator& simulator, PacketPool& pool, SpineId id, const TopologyInfo& info,
+              PfcConfig pfc, LinkParams fabric_link, sim::Rng& fault_rng);
 
   void receive(Packet p, PortIndex in_port) override;
 

@@ -19,10 +19,10 @@ std::vector<UplinkIndex> iota_candidates(std::uint32_t n) {
 // PodSpineSwitch
 // ---------------------------------------------------------------------------
 
-PodSpineSwitch::PodSpineSwitch(sim::Simulator& simulator, std::uint32_t pod,
+PodSpineSwitch::PodSpineSwitch(sim::Simulator& simulator, PacketPool& pool, std::uint32_t pod,
                                std::uint32_t index, const ThreeLevelInfo& info, PfcConfig pfc,
                                LinkParams fabric_link, sim::Rng& fault_rng)
-    : Switch{simulator,
+    : Switch{simulator, pool,
              "podspine" + std::to_string(pod) + "_" + std::to_string(index),
              info.leaves_per_pod + info.cores_per_group(), PortIndex{info.leaves_per_pod}, pfc},
       pod_{pod},
@@ -74,28 +74,33 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
       core_tier_{config.shape.core_tier()},
       routing_{leaf_tier_.leaves, leaf_tier_.uplinks_per_leaf()},
       fault_rng_{config.seed ^ 0x3fa017ull},
-      lanes_{std::move(lanes)} {
+      lanes_{std::move(lanes)},
+      pools_(lanes_.size()) {
   const ThreeLevelInfo& shape = config_.shape;
 
   for (const HostId h : core::ids<HostId>(shape.num_hosts())) {
-    hosts_.push_back(std::make_unique<Host>(sim_, h, config_.host_link, fault_rng_));
+    hosts_.push_back(
+        std::make_unique<Host>(sim_, pools_[0], h, config_.host_link, fault_rng_));
   }
   for (const LeafId l : core::ids<LeafId>(shape.num_leaves())) {
+    const std::size_t lane = pod_lane(shape.pod_of_leaf(l));
     // kAdaptive never draws from its spray RNG.
     leaves_.push_back(std::make_unique<LeafSwitch>(
-        lane_for_pod(shape.pod_of_leaf(l)), l, leaf_tier_, routing_, SprayPolicy::kAdaptive,
+        *lanes_[lane], pools_[lane], l, leaf_tier_, routing_, SprayPolicy::kAdaptive,
         config_.pfc, config_.host_link, config_.fabric_link, sim::Rng{config_.seed},
         fault_rng_));
   }
   for (std::uint32_t pod = 0; pod < shape.pods; ++pod) {
+    const std::size_t lane = pod_lane(pod);
     for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
-      pod_spines_.push_back(std::make_unique<PodSpineSwitch>(lane_for_pod(pod), pod, s,
-                                                             config_.shape, config_.pfc,
-                                                             config_.fabric_link, fault_rng_));
+      pod_spines_.push_back(std::make_unique<PodSpineSwitch>(
+          *lanes_[lane], pools_[lane], pod, s, config_.shape, config_.pfc, config_.fabric_link,
+          fault_rng_));
     }
   }
   for (const SpineId c : core::ids<SpineId>(shape.num_cores())) {
-    cores_.push_back(std::make_unique<SpineSwitch>(lane_for_core(c.v()), c, core_tier_,
+    const std::size_t lane = core_lane(c.v());
+    cores_.push_back(std::make_unique<SpineSwitch>(*lanes_[lane], pools_[lane], c, core_tier_,
                                                    config_.pfc, config_.fabric_link,
                                                    fault_rng_));
   }
@@ -107,7 +112,7 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
     hosts_[h.v()]->nic().connect(leaves_[l.v()].get(), PortIndex{local});
     leaves_[l.v()]->set_upstream(PortIndex{local}, &hosts_[h.v()]->nic());
     leaves_[l.v()]->host_port(local).connect(hosts_[h.v()].get(), PortIndex{0});
-    link_lanes(hosts_[h.v()]->nic(), lane_for_pod(shape.pod_of_leaf(l)));
+    link_lanes(hosts_[h.v()]->nic(), *lanes_[pod_lane(shape.pod_of_leaf(l))]);
     link_lanes(leaves_[l.v()]->host_port(local), sim_);
   }
 
@@ -138,23 +143,21 @@ ThreeLevelFatTree::ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLe
         c.set_upstream(core_port, &ps.core_uplink(k));
         c.down_port(core_port).connect(&ps, ps_port);
         ps.set_upstream(ps_port, &c.down_port(core_port));
-        link_lanes(ps.core_uplink(k), lane_for_core(shape.core_id(s, k)));
-        link_lanes(c.down_port(core_port), lane_for_pod(pod));
+        link_lanes(ps.core_uplink(k), *lanes_[core_lane(shape.core_id(s, k))]);
+        link_lanes(c.down_port(core_port), *lanes_[pod_lane(pod)]);
       }
     }
   }
 }
 
-sim::Simulator& ThreeLevelFatTree::lane_for_pod(std::uint32_t pod) const {
-  if (lanes_.size() <= 1) return sim_;
-  const auto groups = static_cast<std::uint32_t>(lanes_.size() - 1);
-  return *lanes_[1 + pod % groups];
+std::size_t ThreeLevelFatTree::pod_lane(std::uint32_t pod) const {
+  if (lanes_.size() <= 1) return 0;
+  return 1 + pod % (lanes_.size() - 1);
 }
 
-sim::Simulator& ThreeLevelFatTree::lane_for_core(std::uint32_t core_id) const {
-  if (lanes_.size() <= 1) return sim_;
-  const auto groups = static_cast<std::uint32_t>(lanes_.size() - 1);
-  return *lanes_[1 + core_id % groups];
+std::size_t ThreeLevelFatTree::core_lane(std::uint32_t core_id) const {
+  if (lanes_.size() <= 1) return 0;
+  return 1 + core_id % (lanes_.size() - 1);
 }
 
 void ThreeLevelFatTree::link_lanes(EgressPort& port, sim::Simulator& dst) {

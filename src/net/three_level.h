@@ -7,6 +7,7 @@
 #include "net/egress_port.h"
 #include "net/fault.h"
 #include "net/host.h"
+#include "net/packet_pool.h"
 #include "net/routing.h"
 #include "net/switch.h"
 #include "net/topology_info.h"
@@ -79,9 +80,9 @@ struct ThreeLevelInfo {
 /// turns around here.
 class PodSpineSwitch final : public Switch {
  public:
-  PodSpineSwitch(sim::Simulator& simulator, std::uint32_t pod, std::uint32_t index,
-                 const ThreeLevelInfo& info, PfcConfig pfc, LinkParams fabric_link,
-                 sim::Rng& fault_rng);
+  PodSpineSwitch(sim::Simulator& simulator, PacketPool& pool, std::uint32_t pod,
+                 std::uint32_t index, const ThreeLevelInfo& info, PfcConfig pfc,
+                 LinkParams fabric_link, sim::Rng& fault_rng);
 
   void receive(Packet p, PortIndex in_port) override;
 
@@ -137,6 +138,7 @@ class ThreeLevelFatTree {
   /// pod-spines, so intra-pod hops stay lane-local — goes to lane
   /// 1 + (p mod (lanes-1)), and core c to lane 1 + (c mod (lanes-1)). Only
   /// host<->leaf, pod-spine<->core, and PFC reverse paths can cross lanes.
+  /// Each lane's devices queue into that lane's own PacketPool.
   ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLevelConfig config);
 
   ThreeLevelFatTree(const ThreeLevelFatTree&) = delete;
@@ -176,8 +178,10 @@ class ThreeLevelFatTree {
   [[nodiscard]] LinkCounters total_fabric_counters() const;
 
  private:
-  [[nodiscard]] sim::Simulator& lane_for_pod(std::uint32_t pod) const;
-  [[nodiscard]] sim::Simulator& lane_for_core(std::uint32_t core_id) const;
+  /// Index into lanes_ and pools_ of the lane that drives pod `pod` / core
+  /// `core_id`.
+  [[nodiscard]] std::size_t pod_lane(std::uint32_t pod) const;
+  [[nodiscard]] std::size_t core_lane(std::uint32_t core_id) const;
   void link_lanes(EgressPort& port, sim::Simulator& dst);
 
   sim::Simulator& sim_;
@@ -188,6 +192,9 @@ class ThreeLevelFatTree {
   RoutingState routing_;  // (global leaf, pod-spine index)
   sim::Rng fault_rng_;
   std::vector<sim::Simulator*> lanes_;
+  /// pools_[i] holds the packets of the devices lanes_[i] drives. Sized
+  /// once at construction: devices keep references into it.
+  std::vector<PacketPool> pools_;
   sim::Time min_cross_lane_latency_ = sim::Time::max();
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<LeafSwitch>> leaves_;

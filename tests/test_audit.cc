@@ -1,12 +1,12 @@
 // Tests for the runtime invariant auditor (src/sim/audit.h).
 //
 // Each negative test deliberately breaks one invariant — drops a byte from
-// a link ledger, schedules an event into the past, stages a cross-lane
-// import behind the last event run, wedges a PFC pause, double-delivers a
-// message, invents monitored bytes — and asserts that the
-// corresponding check fires with the right structured diagnostic. A final
-// end-to-end scenario proves the clean path stays quiet. The whole file
-// self-skips in non-audit builds, where FP_AUDIT compiles to nothing.
+// a link ledger, releases a packet slot twice, schedules an event into the
+// past, stages a cross-lane import behind the last event run, wedges a PFC
+// pause, double-delivers a message, invents monitored bytes — and asserts
+// that the corresponding check fires with the right structured diagnostic.
+// A final end-to-end scenario proves the clean path stays quiet. The whole
+// file self-skips in non-audit builds, where FP_AUDIT compiles to nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include "net/fat_tree.h"
 #include "net/three_level.h"
 #include "net/packet.h"
+#include "net/packet_pool.h"
 #include "core/strong_id.h"
 #include "core/units.h"
 #include "net/types.h"
@@ -90,6 +91,22 @@ TEST(Audit, DroppedByteFromLinkLedgerFires) {
   } catch (const audit::ViolationError& e) {
     EXPECT_EQ(e.violation().invariant, "link-conservation");
     EXPECT_NE(e.violation().entity.find("leaf0"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Audit, ReleasedPacketSlotFires) {
+  // A stale handle is the bug class ASan cannot see inside a pool: the slot
+  // is still valid memory, it just no longer holds this packet.
+  net::PacketPool pool;
+  const net::PacketRef ref = pool.put(tagged_packet(1000, 0));
+  pool.release(ref);
+  const audit::ScopedHandler guard{&throw_violation};
+  try {
+    pool.release(ref);
+    FAIL() << "packet-pool violation did not fire on a double release";
+  } catch (const audit::ViolationError& e) {
+    EXPECT_EQ(e.violation().invariant, "packet-pool");
+    EXPECT_EQ(e.violation().iteration, ref.v()) << e.what();
   }
 }
 

@@ -11,6 +11,7 @@
 #include "net/egress_port.h"
 #include "net/fat_tree.h"
 #include "net/fault.h"
+#include "net/packet_pool.h"
 #include "net/routing.h"
 #include "net/switch.h"
 #include "sim/simulator.h"
@@ -45,11 +46,12 @@ Packet make_packet(std::uint32_t size, Priority prio = Priority::kCollective) {
 class EgressPortTest : public ::testing::Test {
  protected:
   EgressPortTest()
-      : port_{sim_, LinkParams{core::GbitsPerSec{400.0}, Time::nanoseconds(100)}, "t", nullptr,
-              sim_.rng()} {
+      : port_{sim_, pool_, LinkParams{core::GbitsPerSec{400.0}, Time::nanoseconds(100)}, "t",
+              nullptr, sim_.rng()} {
     port_.connect(&sink_, PortIndex{7});
   }
   Simulator sim_{1};
+  PacketPool pool_;
   SinkDevice sink_;
   EgressPort port_;
 };
@@ -166,6 +168,50 @@ TEST_F(EgressPortTest, TxHookSeesWireAndDrops) {
   EXPECT_EQ(dropped, 1);
 }
 
+TEST_F(EgressPortTest, TxHookMayEnqueueOnTheSamePool) {
+  // A second port queues into the fixture's pool. While the first packet's
+  // kOnWire hook runs, it enqueues enough packets there to grow the pool,
+  // then reads the packet it was handed: a hook handed a reference into the
+  // pool's old storage reads freed memory (ASan: heap-use-after-free).
+  EgressPort other{sim_, pool_, LinkParams{core::GbitsPerSec{400.0}, Time::nanoseconds(100)},
+                   "u", nullptr, sim_.rng()};
+  other.connect(&sink_, PortIndex{8});
+  constexpr std::uint64_t kFirst = 1000;
+  constexpr std::uint64_t kBurst = 64;
+  std::uint64_t seen = 0;
+  port_.set_tx_hook([&](const Packet& p, EgressPort::TxEvent ev) {
+    if (ev != EgressPort::TxEvent::kOnWire || seen != 0) return;
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+      Packet q = make_packet(200);
+      q.msg_id = i;
+      other.enqueue(q);
+    }
+    seen = p.msg_id;
+  });
+  Packet first = make_packet(4096);
+  first.msg_id = kFirst;
+  first.seq = 7;
+  port_.enqueue(first);
+  sim_.run();
+
+  EXPECT_EQ(seen, kFirst);
+  ASSERT_EQ(sink_.packets.size(), kBurst + 1);
+  std::uint64_t next = 0;
+  for (std::size_t i = 0; i < sink_.packets.size(); ++i) {
+    const Packet& p = sink_.packets[i];
+    if (sink_.ports[i] == PortIndex{7}) {
+      EXPECT_EQ(p.msg_id, kFirst);
+      EXPECT_EQ(p.seq, 7u);
+      EXPECT_EQ(p.size_bytes, core::Bytes{4096});
+    } else {
+      EXPECT_EQ(p.msg_id, next++) << "delivery " << i;
+      EXPECT_EQ(p.size_bytes, core::Bytes{200});
+    }
+  }
+  EXPECT_EQ(next, kBurst);
+  EXPECT_EQ(pool_.live(), 0u);
+}
+
 TEST_F(EgressPortTest, ClassQueuesKeepOrderAcrossRingGrowthAndWrappedPause) {
   // Every class queues more packets than a ring's first allocation, and the
   // collective class is paused and resumed while its ring wraps.
@@ -231,6 +277,79 @@ TEST_F(EgressPortTest, ClassQueuesKeepOrderAcrossRingGrowthAndWrappedPause) {
     EXPECT_EQ(sink_.packets[i].priority, want[i].first) << "delivery " << i;
     EXPECT_EQ(sink_.packets[i].msg_id, want[i].second) << "delivery " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// PacketPool
+// ---------------------------------------------------------------------------
+
+TEST(PacketPool, ReleasedSlotIsHandedOutNext) {
+  PacketPool pool;
+  const PacketRef a = pool.put(make_packet(100));
+  const PacketRef b = pool.put(make_packet(200));
+  const PacketRef c = pool.put(make_packet(300));
+  pool.release(b);
+  EXPECT_EQ(pool.put(make_packet(400)), b);
+  pool.release(a);
+  pool.release(c);
+  // Last in, first out.
+  EXPECT_EQ(pool.put(make_packet(500)), c);
+  EXPECT_EQ(pool.put(make_packet(600)), a);
+  EXPECT_EQ(pool[b].size_bytes, core::Bytes{400});
+  EXPECT_EQ(pool[c].size_bytes, core::Bytes{500});
+  EXPECT_EQ(pool[a].size_bytes, core::Bytes{600});
+}
+
+TEST(PacketPool, FieldsSurviveGrowth) {
+  PacketPool pool;
+  Packet first = make_packet(1088, Priority::kBackground);
+  first.flow_id = 0xabcdef;
+  first.src = HostId{3};
+  first.dst = HostId{9};
+  first.msg_id = 42;
+  first.seq = 5;
+  first.ack_bitmap = 0x8000000000000001ull;
+  first.pfc_ingress = PortIndex{2};
+  first.kind = PacketKind::kAck;
+  first.retx = 1;
+  const PacketRef ref = pool.put(first);
+  std::vector<PacketRef> refs;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    Packet p = make_packet(64 + i);
+    p.msg_id = i;
+    refs.push_back(pool.put(p));
+  }
+  const Packet& got = pool[ref];
+  EXPECT_EQ(got.flow_id, first.flow_id);
+  EXPECT_EQ(got.src, first.src);
+  EXPECT_EQ(got.dst, first.dst);
+  EXPECT_EQ(got.msg_id, first.msg_id);
+  EXPECT_EQ(got.seq, first.seq);
+  EXPECT_EQ(got.ack_bitmap, first.ack_bitmap);
+  EXPECT_EQ(got.size_bytes, first.size_bytes);
+  EXPECT_EQ(got.pfc_ingress, first.pfc_ingress);
+  EXPECT_EQ(got.kind, first.kind);
+  EXPECT_EQ(got.priority, first.priority);
+  EXPECT_EQ(got.retx, first.retx);
+  for (std::uint32_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(pool[refs[i]].msg_id, i);
+    EXPECT_EQ(pool[refs[i]].size_bytes, core::Bytes{64 + i});
+  }
+}
+
+TEST(PacketPool, LiveCountsPutsMinusReleases) {
+  PacketPool pool;
+  EXPECT_EQ(pool.live(), 0u);
+  const PacketRef a = pool.put(make_packet(100));
+  const PacketRef b = pool.put(make_packet(100));
+  EXPECT_EQ(pool.live(), 2u);
+  pool.release(a);
+  EXPECT_EQ(pool.live(), 1u);
+  const Packet out = pool.take(b);
+  EXPECT_EQ(out.size_bytes, core::Bytes{100});
+  EXPECT_EQ(pool.live(), 0u);
+  (void)pool.put(make_packet(100));
+  EXPECT_EQ(pool.live(), 1u);
 }
 
 // ---------------------------------------------------------------------------
