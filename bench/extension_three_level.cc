@@ -74,7 +74,7 @@ Result run_case(int fault_tier, double drop) {
   fps.set_prediction(model.predict(demand, net.routing()));
 
   if (fault_tier == 1) {
-    net.set_leaf_link_fault(net::LeafId{6}, /*spine=*/2, net::FaultSpec::random_drop(drop));
+    net.set_link_fault(net::LeafId{6}, net::UplinkIndex{2}, net::FaultSpec::random_drop(drop));
   } else if (fault_tier == 2) {
     net.set_core_link_fault(/*pod=*/1, /*spine=*/2, /*k=*/3,
                             net::FaultSpec::random_drop(drop));

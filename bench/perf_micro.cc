@@ -367,10 +367,10 @@ void BM_TraceEmit(benchmark::State& state) {
   // The hot-path cost when recording: one level check + a bounded struct
   // copy into a preallocated ring slot.
   obs::FlightRecorder rec{obs::FlightRecorder::kDefaultCapacity};
-  rec.set_level(obs::TraceLevel::kEvents);
+  rec.set_level(core::TraceLevel::kEvents);
   std::uint64_t n = 0;
   for (auto _ : state) {
-    rec.emit(obs::EventKind::kPacketDrop, sim::Time::nanoseconds(static_cast<std::int64_t>(n)),
+    rec.emit(core::EventKind::kPacketDrop, sim::Time::nanoseconds(static_cast<std::int64_t>(n)),
              "leaf3.up1", 3, 1, 4160, 0.0, "silent");
     ++n;
   }
@@ -385,7 +385,7 @@ void BM_TracedIteration(benchmark::State& state) {
   std::uint64_t recorded_total = 0;
   for (auto _ : state) {
     exp::ScenarioConfig cfg = trace_bench_config();
-    cfg.trace.level = obs::TraceLevel::kEvents;
+    cfg.trace.level = core::TraceLevel::kEvents;
     exp::Scenario s{cfg};
     const exp::ScenarioResult r = s.run();
     benchmark::DoNotOptimize(r.events);
@@ -396,26 +396,26 @@ void BM_TracedIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_TracedIteration)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-std::vector<obs::TraceEvent> bench_trace_window(std::size_t n) {
+std::vector<core::TraceEvent> bench_trace_window(std::size_t n) {
   obs::FlightRecorder rec{n};
-  rec.set_level(obs::TraceLevel::kEvents);
+  rec.set_level(core::TraceLevel::kEvents);
   for (std::size_t i = 0; i < n; ++i) {
     const auto t = sim::Time::nanoseconds(static_cast<std::int64_t>(i * 337));
     switch (i % 4) {
       case 0:
-        rec.emit(obs::EventKind::kPacketDrop, t, "spine1.down5", 4,
+        rec.emit(core::EventKind::kPacketDrop, t, "spine1.down5", 4,
                  static_cast<std::uint32_t>(i % 8), 4160, 0.0, "silent");
         break;
       case 1:
-        rec.emit(obs::EventKind::kPfcPause, t, "leaf3", static_cast<std::uint32_t>(i % 4), 0,
+        rec.emit(core::EventKind::kPfcPause, t, "leaf3", static_cast<std::uint32_t>(i % 4), 0,
                  150000, 0.0, "xoff");
         break;
       case 2:
-        rec.emit(obs::EventKind::kPfcResume, t, "leaf3", static_cast<std::uint32_t>(i % 4), 0,
+        rec.emit(core::EventKind::kPfcResume, t, "leaf3", static_cast<std::uint32_t>(i % 4), 0,
                  90000, 0.0, "xon");
         break;
       default:
-        rec.emit(obs::EventKind::kRtoFire, t, "", static_cast<std::uint32_t>(i % 32),
+        rec.emit(core::EventKind::kRtoFire, t, "", static_cast<std::uint32_t>(i % 32),
                  static_cast<std::uint32_t>(i), i, 0.0, "");
         break;
     }

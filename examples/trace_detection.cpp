@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   cfg.mitigation.settle_iterations = 1;
   cfg.mitigation.probation_iterations = 2;
 
-  cfg.trace.level = obs::TraceLevel::kEvents;
+  cfg.trace.level = core::TraceLevel::kEvents;
   cfg.trace.capacity = 1 << 16;
 
   exp::Scenario s{cfg};
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   // The tail of the final retained window, as the text timeline the audit
   // dump hook prints on invariant failure.
-  const std::vector<obs::TraceEvent>& window = r.trace_events;
+  const std::vector<core::TraceEvent>& window = r.trace_events;
   const std::size_t tail = window.size() < 20 ? 0 : window.size() - 20;
   std::cout << "\nlast " << (window.size() - tail) << " of " << window.size()
             << " recorded events (" << r.trace_dropped << " lost to ring wrap):\n"
@@ -92,11 +92,11 @@ int main(int argc, char** argv) {
 
   // The counter/histogram registry the window reduces to.
   const obs::TraceMetrics m = obs::TraceMetrics::from_events(window);
-  std::cout << "\ncounters: drops=" << m.count(obs::EventKind::kPacketDrop)
-            << " pfc_pauses=" << m.count(obs::EventKind::kPfcPause)
+  std::cout << "\ncounters: drops=" << m.count(core::EventKind::kPacketDrop)
+            << " pfc_pauses=" << m.count(core::EventKind::kPfcPause)
             << " rto=" << m.retransmits
-            << " detector_flags=" << m.count(obs::EventKind::kDetectorFlag)
-            << " mitigations=" << m.count(obs::EventKind::kMitigation) << "\n"
+            << " detector_flags=" << m.count(core::EventKind::kDetectorFlag)
+            << " mitigations=" << m.count(core::EventKind::kMitigation) << "\n"
             << "pause_us: " << m.pause_us.to_json() << "\n"
             << "drop_bytes: " << m.drop_bytes.to_json() << "\n";
 

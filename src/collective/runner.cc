@@ -17,9 +17,8 @@ CollectiveRunner::CollectiveRunner(sim::Simulator& simulator,
   assert(config_.schedule_generator || schedule_->ranks == ranks_);
   // Subscribe to message completions at every participating host.
   for (std::uint32_t r = 0; r < ranks_; ++r) {
-    const net::HostId h = config_.hosts[r];
-    transports_.at(h).add_recv_handler(
-        [this, h](const transport::RecvInfo& info) { on_recv(h, info); });
+    transports_.at(config_.hosts[r])
+        .add_recv_handler([this](const transport::RecvInfo& info) { on_recv(info); });
   }
 }
 
@@ -93,19 +92,15 @@ void CollectiveRunner::begin_iteration(std::uint32_t iteration) {
       jitter = sim::Time::picoseconds(static_cast<std::int64_t>(
           rng_.next_below(static_cast<std::uint64_t>(config_.max_jitter.ps()))));
     }
+    // Launch every stage that is already unblocked (stage 0, plus any later
+    // stage whose inbound traffic is empty).
     sim_.schedule_in(jitter, [this, r, iteration] {
-      if (iteration_ == iteration && running_) rank_start(r);
+      if (iteration_ == iteration && running_) advance(r);
     });
   }
 
   // Degenerate schedules (no sends at all) complete immediately.
   if (total_recv_remaining_ == 0) finish_iteration();
-}
-
-void CollectiveRunner::rank_start(std::uint32_t rank) {
-  // Launch every stage that is already unblocked (stage 0, plus any later
-  // stage whose inbound traffic is empty).
-  advance(rank);
 }
 
 void CollectiveRunner::advance(std::uint32_t rank) {
@@ -138,8 +133,7 @@ void CollectiveRunner::launch_stage(std::uint32_t rank, std::uint32_t stage) {
   }
 }
 
-void CollectiveRunner::on_recv(net::HostId at_host, const transport::RecvInfo& info) {
-  (void)at_host;
+void CollectiveRunner::on_recv(const transport::RecvInfo& info) {
   auto it = pending_.find(msg_key(info.src, info.msg_id));
   if (it == pending_.end()) return;  // another job's message
   const PendingMsg msg = it->second;

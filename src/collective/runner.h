@@ -108,10 +108,9 @@ class CollectiveRunner {
   };
 
   void begin_iteration(std::uint32_t iteration);
-  void rank_start(std::uint32_t rank);
   void launch_stage(std::uint32_t rank, std::uint32_t stage);
   void advance(std::uint32_t rank);
-  void on_recv(net::HostId at_host, const transport::RecvInfo& info);
+  void on_recv(const transport::RecvInfo& info);
   void finish_iteration();
   void validate_iteration();
   [[nodiscard]] net::FlowId flow_id_for(std::uint32_t iteration) const;

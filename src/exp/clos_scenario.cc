@@ -71,7 +71,7 @@ void ClosScenario::build() {
   flowpulse_->set_prediction(model.predict(demand, fabric_->routing()));
 
   for (const ClosScenarioConfig::LeafFault& f : config_.leaf_faults) {
-    fabric_->set_leaf_link_fault(f.leaf, f.spine_index, f.spec);
+    fabric_->set_link_fault(f.leaf, net::UplinkIndex{f.spine_index}, f.spec);
   }
   for (const ClosScenarioConfig::CoreFault& f : config_.core_faults) {
     fabric_->set_core_link_fault(f.pod, f.spine_index, f.k, f.spec);

@@ -41,7 +41,7 @@ struct ClosScenarioConfig {
   /// like exp::ScenarioConfig::lanes.
   struct LeafFault {
     net::LeafId leaf{};
-    std::uint32_t spine_index = 0;  // detlint: ok(raw-scalar-id): pod-local ordinal, passed through to ThreeLevelFatTree::set_leaf_link_fault's documented raw-index boundary
+    std::uint32_t spine_index = 0;  // detlint: ok(raw-scalar-id): pod-local ordinal kept raw because perfbench/fpbench.cc brace-initializes LeafFault; build() names the link UplinkIndex{spine_index}
     net::FaultSpec spec{};
   };
   struct CoreFault {

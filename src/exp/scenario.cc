@@ -82,10 +82,10 @@ void Scenario::build() {
   // Tracing is armed before any component exists so even wiring-time and
   // first-iteration events land in the ring. An explicit config level wins;
   // kOff defers to the FLOWPULSE_TRACE environment variable.
-  const obs::TraceLevel trace_level = config_.trace.level != obs::TraceLevel::kOff
-                                          ? config_.trace.level
-                                          : obs::env_level();
-  if (trace_level != obs::TraceLevel::kOff) {
+  const core::TraceLevel trace_level = config_.trace.level != core::TraceLevel::kOff
+                                           ? config_.trace.level
+                                           : obs::env_level();
+  if (trace_level != core::TraceLevel::kOff) {
     recorder_ = std::make_unique<obs::FlightRecorder>(config_.trace.capacity);
     recorder_->set_level(trace_level);
     sim_->set_trace(recorder_.get());

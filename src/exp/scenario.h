@@ -128,9 +128,9 @@ struct ScenarioResult {
 
   /// Flight-recorder output. Empty unless the build traces
   /// (-DFLOWPULSE_TRACE=ON) and a runtime level was set.
-  std::vector<obs::TraceEvent> trace_events;  ///< final retained window
-  std::uint64_t trace_dropped = 0;            ///< ring overflow across the run
-  std::vector<obs::TraceDump> trace_dumps;    ///< automatic on-alert snapshots
+  std::vector<core::TraceEvent> trace_events;  ///< final retained window
+  std::uint64_t trace_dropped = 0;             ///< ring overflow across the run
+  std::vector<obs::TraceDump> trace_dumps;     ///< automatic on-alert snapshots
 };
 
 /// Builds and runs one experiment. The pieces stay accessible between

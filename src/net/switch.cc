@@ -54,6 +54,12 @@ void Switch::set_upstream(PortIndex in_port, EgressPort* upstream) {
   upstream_[in_port.v()] = upstream;
 }
 
+EgressPort& Switch::upstream(UplinkIndex u) {
+  EgressPort* up = upstream_[first_up_port_.v() + u.v()];
+  assert(up != nullptr && "tapped port read before wiring");
+  return *up;
+}
+
 const EgressPort& Switch::upstream(UplinkIndex u) const {
   const EgressPort* up = upstream_[first_up_port_.v() + u.v()];
   assert(up != nullptr && "tapped port read before wiring");

@@ -52,7 +52,13 @@ class Switch : public Device {
   void set_upstream(PortIndex in_port, EgressPort* upstream);
   void set_ingress_tap(IngressTap tap) { tap_ = std::move(tap); }
 
-  /// The egress port feeding the up-facing port the tap reports as `u`.
+  /// Egress port p; ingress port p faces the same neighbour.
+  [[nodiscard]] EgressPort& port(PortIndex p) { return *ports_[p.v()]; }
+  [[nodiscard]] const EgressPort& port(PortIndex p) const { return *ports_[p.v()]; }
+
+  /// The egress port feeding the up-facing port the tap reports as `u`:
+  /// the far end of that link, recorded when it was wired.
+  [[nodiscard]] EgressPort& upstream(UplinkIndex u);
   [[nodiscard]] const EgressPort& upstream(UplinkIndex u) const;
   /// Sum of the counters of every link this switch drives.
   [[nodiscard]] LinkCounters link_counters() const;
@@ -79,8 +85,6 @@ class Switch : public Device {
   /// Create the next egress port, named after this switch plus `suffix`.
   /// Subclasses call it once per port, in port order.
   void add_port(LinkParams link, sim::Rng& fault_rng, const std::string& suffix);
-  [[nodiscard]] EgressPort& port(PortIndex p) { return *ports_[p.v()]; }
-  [[nodiscard]] const EgressPort& port(PortIndex p) const { return *ports_[p.v()]; }
 
   /// Arrival prologue of every receive(): account the packet, issue PAUSE
   /// if its ingress class crosses XOFF, then report it to the tap.

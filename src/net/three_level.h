@@ -4,11 +4,10 @@
 #include <memory>
 #include <vector>
 
+#include "net/clos_fabric.h"
 #include "net/egress_port.h"
 #include "net/fault.h"
-#include "net/host.h"
 #include "net/packet_pool.h"
-#include "net/routing.h"
 #include "net/switch.h"
 #include "net/topology_info.h"
 #include "net/types.h"
@@ -120,84 +119,45 @@ struct ThreeLevelConfig {
   std::uint64_t seed = 0x5eed;
 };
 
-/// The full 3-level fabric, built from the 2-level switch classes: each
-/// leaf is a kAdaptive LeafSwitch over info().leaf_tier(), and each core is
-/// a SpineSwitch over info().core_tier(), so a core's down port p leads to
-/// pod p. Only the pod-spine has a class of its own. Fault injection covers
-/// both tiers:
-///  * leaf↔pod-spine links — disconnect_known() removes the pod-spine
-///    *index* from routing for that leaf (which transitively removes the
-///    core group for paths through it), mirroring the 2-level semantics;
+/// The full 3-level fabric: the ClosFabric's hosts and leaves over
+/// info().leaf_tier() (kAdaptive LeafSwitches, whose uplink s leads to
+/// pod-spine index s of their pod), plus the pod-spines and the cores. Each
+/// core is a SpineSwitch over info().core_tier(), so a core's down port p
+/// leads to pod p. Only the pod-spine has a class of its own. Fault
+/// injection covers both tiers:
+///  * leaf↔pod-spine links — the ClosFabric's (leaf, uplink) API;
+///    disconnect_known() removes the pod-spine *index* from routing for that
+///    leaf (which transitively removes the core group for paths through
+///    it), mirroring the 2-level semantics;
 ///  * pod-spine↔core links — silent faults only (set_core_link_fault),
 ///    matching the paper's focus on detecting what routing does not know.
-class ThreeLevelFatTree {
+class ThreeLevelFatTree : public ClosFabric {
  public:
   ThreeLevelFatTree(sim::Simulator& simulator, ThreeLevelConfig config);
 
-  /// Sharded build: `lanes[0]` drives the hosts; pod p — its leaves AND its
-  /// pod-spines, so intra-pod hops stay lane-local — goes to lane
-  /// 1 + (p mod (lanes-1)), and core c to lane 1 + (c mod (lanes-1)). Only
-  /// host<->leaf, pod-spine<->core, and PFC reverse paths can cross lanes.
-  /// Each lane's devices queue into that lane's own PacketPool.
+  /// Sharded build (see ClosFabric for the lane rule): pod p — its leaves
+  /// AND its pod-spines, so intra-pod hops stay lane-local — is group p,
+  /// and core c is group c. Only host<->leaf, pod-spine<->core, and PFC
+  /// reverse paths can cross lanes.
   ThreeLevelFatTree(std::vector<sim::Simulator*> lanes, ThreeLevelConfig config);
 
-  ThreeLevelFatTree(const ThreeLevelFatTree&) = delete;
-  ThreeLevelFatTree& operator=(const ThreeLevelFatTree&) = delete;
-
-  /// Smallest propagation delay over all cross-lane links (conservative
-  /// lookahead); Time::max() in a single-lane build.
-  [[nodiscard]] sim::Time min_cross_lane_latency() const { return min_cross_lane_latency_; }
-
   [[nodiscard]] const ThreeLevelInfo& info() const { return config_.shape; }
-  [[nodiscard]] Host& host(HostId h) { return *hosts_[h.v()]; }
-  [[nodiscard]] LeafSwitch& leaf(LeafId l) { return *leaves_[l.v()]; }
   [[nodiscard]] PodSpineSwitch& pod_spine(std::uint32_t pod, std::uint32_t s) {
     return *pod_spines_[config_.shape.pod_spine_id(pod, s)];
   }
   [[nodiscard]] SpineSwitch& core(std::uint32_t group, std::uint32_t k) {
     return *cores_[config_.shape.core_id(group, k)];
   }
-  [[nodiscard]] std::uint32_t num_hosts() const { return config_.shape.num_hosts(); }
-  [[nodiscard]] RoutingState& routing() { return routing_; }
-  [[nodiscard]] const RoutingState& routing() const { return routing_; }
 
-  /// Known pre-existing failure of a leaf↔pod-spine link (both directions
-  /// dark + removed from routing).
-  void disconnect_known(LeafId leaf, std::uint32_t spine_index);  // detlint: ok(raw-scalar-id): pod-local ordinal — documented raw-index boundary
-  /// Silent fault on a leaf↔pod-spine link.
-  void set_leaf_link_fault(LeafId leaf, std::uint32_t spine_index, FaultSpec fault);  // detlint: ok(raw-scalar-id): pod-local ordinal — documented raw-index boundary
   /// Silent fault on a pod-spine↔core link (both directions).
   // detlint: ok(raw-scalar-id): pod-local ordinals — documented raw-index boundary
   void set_core_link_fault(std::uint32_t pod, std::uint32_t spine_index, std::uint32_t k,
                            FaultSpec fault);
-  /// Silent fault on only the core→pod-spine direction.
-  // detlint: ok(raw-scalar-id): pod-local ordinals — documented raw-index boundary
-  void set_core_downlink_fault(std::uint32_t pod, std::uint32_t spine_index, std::uint32_t k,
-                               FaultSpec fault);
-
-  [[nodiscard]] LinkCounters total_fabric_counters() const;
 
  private:
-  /// Index into lanes_ and pools_ of the lane that drives pod `pod` / core
-  /// `core_id`.
-  [[nodiscard]] std::size_t pod_lane(std::uint32_t pod) const;
-  [[nodiscard]] std::size_t core_lane(std::uint32_t core_id) const;
-  void link_lanes(EgressPort& port, sim::Simulator& dst);
-
-  sim::Simulator& sim_;
   ThreeLevelConfig config_;
-  // Tier-local shapes the leaf and core switches keep references to.
-  TopologyInfo leaf_tier_;
+  /// The core tier's shape; the cores keep a reference to it.
   TopologyInfo core_tier_;
-  RoutingState routing_;  // (global leaf, pod-spine index)
-  sim::Rng fault_rng_;
-  std::vector<sim::Simulator*> lanes_;
-  /// pools_[i] holds the packets of the devices lanes_[i] drives. Sized
-  /// once at construction: devices keep references into it.
-  std::vector<PacketPool> pools_;
-  sim::Time min_cross_lane_latency_ = sim::Time::max();
-  std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<LeafSwitch>> leaves_;
   std::vector<std::unique_ptr<PodSpineSwitch>> pod_spines_;
   std::vector<std::unique_ptr<SpineSwitch>> cores_;
 };

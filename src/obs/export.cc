@@ -9,6 +9,11 @@
 #include "obs/json.h"
 
 namespace flowpulse::obs {
+
+using core::event_kind_name;
+using core::EventKind;
+using core::TraceEvent;
+
 namespace {
 
 const char* category_of(EventKind k) {

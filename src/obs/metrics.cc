@@ -9,6 +9,11 @@
 
 namespace flowpulse::obs {
 
+using core::event_kind_name;
+using core::EventKind;
+using core::kNumEventKinds;
+using core::TraceEvent;
+
 void Histogram::add(double v) {
   // The registry must swallow anything the trace carries: detector rel_dev
   // is +inf for a port predicted silent but carrying traffic, and

@@ -47,7 +47,7 @@ class Histogram {
 /// Built by replaying recorded events, so the hot path pays only the trace
 /// emission itself and a disabled build pays nothing.
 struct TraceMetrics {
-  std::array<std::uint64_t, kNumEventKinds> by_kind{};
+  std::array<std::uint64_t, core::kNumEventKinds> by_kind{};
 
   Histogram drop_bytes;           ///< size of packets lost to faults
   Histogram pause_us;             ///< PFC pause durations (pause→resume)
@@ -55,12 +55,12 @@ struct TraceMetrics {
   Histogram detector_rel_dev;     ///< deviation of flagged ports
   std::uint64_t retransmits = 0;  ///< RTO firings (kRtoFire)
 
-  [[nodiscard]] std::uint64_t count(EventKind k) const {
+  [[nodiscard]] std::uint64_t count(core::EventKind k) const {
     return by_kind[static_cast<std::size_t>(k)];
   }
 
   /// Replay a chronological event window into a registry.
-  [[nodiscard]] static TraceMetrics from_events(const std::vector<TraceEvent>& events);
+  [[nodiscard]] static TraceMetrics from_events(const std::vector<core::TraceEvent>& events);
 
   /// One JSON object (counters + histogram summaries), for exp::report.
   [[nodiscard]] std::string to_json() const;

@@ -14,9 +14,9 @@
 // The instrumentation core — TraceLevel/EventKind taxonomy, TraceEvent,
 // the TraceSink interface, and the FP_TRACE macro itself — lives in
 // core/trace.h so that sim (whose event lanes carry the sink pointer) can
-// depend on it without inverting the module DAG. This header re-exports
-// those names under obs:: and adds what only the observability layer
-// needs: the flight recorder, dump/config types, and env plumbing.
+// depend on it without inverting the module DAG; callers spell those names
+// core::. This header adds what only the observability layer needs: the
+// flight recorder, dump/config types, and env plumbing.
 //
 // In a trace-enabled build, events flow into the sim::Simulator's
 // installed TraceSink. The stock sink is obs::FlightRecorder, a
@@ -40,22 +40,12 @@
 
 namespace flowpulse::obs {
 
-// Historical spellings: the taxonomy and sink interface moved to
-// core/trace.h; every existing obs::X use keeps compiling.
-using core::EventKind;
-using core::event_kind_name;
-using core::kNumEventKinds;
-using core::level_of;
-using core::TraceEvent;
-using core::TraceLevel;
-using core::TraceSink;
-
 /// The bounded in-memory flight recorder: a ring buffer of the last
 /// `capacity` events. Overflow silently overwrites the oldest event but is
 /// observable (dropped()); recording never allocates after construction.
 /// One per simulation — parallel trials each own theirs, so recording
 /// stays as deterministic as the simulation feeding it.
-class FlightRecorder final : public TraceSink {
+class FlightRecorder final : public core::TraceSink {
  public:
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
       : ring_(capacity == 0 ? 1 : capacity) {}
@@ -74,8 +64,8 @@ class FlightRecorder final : public TraceSink {
   }
 
   /// Chronological copy of the retained window (oldest first).
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const {
-    std::vector<TraceEvent> out;
+  [[nodiscard]] std::vector<core::TraceEvent> snapshot() const {
+    std::vector<core::TraceEvent> out;
     const std::size_t n = size();
     out.reserve(n);
     const std::size_t start = total_ > ring_.size()
@@ -90,13 +80,13 @@ class FlightRecorder final : public TraceSink {
   void clear() { total_ = 0; }
 
  protected:
-  void record(const TraceEvent& e) override {
+  void record(const core::TraceEvent& e) override {
     ring_[static_cast<std::size_t>(total_ % ring_.size())] = e;
     ++total_;
   }
 
  private:
-  std::vector<TraceEvent> ring_;
+  std::vector<core::TraceEvent> ring_;
   std::uint64_t total_ = 0;
 };
 
@@ -107,27 +97,27 @@ struct TraceDump {
   core::Time at = core::Time::zero();
   std::uint32_t iteration = 0;
   std::uint64_t dropped = 0;     ///< ring overflow before the snapshot
-  std::vector<TraceEvent> events;
+  std::vector<core::TraceEvent> events;
 };
 
 /// Scenario-level tracing knobs (honored only in trace-enabled builds).
 struct TraceConfig {
   /// kOff defers to the FLOWPULSE_TRACE environment variable (env_level()).
-  TraceLevel level = TraceLevel::kOff;
+  core::TraceLevel level = core::TraceLevel::kOff;
   std::size_t capacity = FlightRecorder::kDefaultCapacity;
 };
 
 /// Runtime opt-in for trace-enabled builds: FLOWPULSE_TRACE=1|on|events →
 /// kEvents, 2|verbose → kVerbose, anything else → kOff.
-[[nodiscard]] inline TraceLevel env_level() {
+[[nodiscard]] inline core::TraceLevel env_level() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup, before
   // any worker thread exists; nothing in the process calls setenv
   const char* s = std::getenv("FLOWPULSE_TRACE");
-  if (s == nullptr) return TraceLevel::kOff;
+  if (s == nullptr) return core::TraceLevel::kOff;
   const std::string v{s};
-  if (v == "1" || v == "on" || v == "events") return TraceLevel::kEvents;
-  if (v == "2" || v == "verbose") return TraceLevel::kVerbose;
-  return TraceLevel::kOff;
+  if (v == "1" || v == "on" || v == "events") return core::TraceLevel::kEvents;
+  if (v == "2" || v == "verbose") return core::TraceLevel::kVerbose;
+  return core::TraceLevel::kOff;
 }
 
 }  // namespace flowpulse::obs

@@ -3,18 +3,15 @@
 #include <memory>
 #include <vector>
 
-#include "net/host.h"
+#include "net/clos_fabric.h"
 #include "transport/transport.h"
 
 namespace flowpulse::transport {
 
 /// Convenience bundle: one Transport endpoint per host of a fabric.
-/// Works with any fabric exposing `num_hosts()` and `host(HostId)`
-/// (2-level FatTree, 3-level ThreeLevelFatTree, ...).
 class TransportLayer {
  public:
-  template <typename Fabric>
-  TransportLayer(sim::Simulator& simulator, Fabric& fabric, TransportConfig config = {}) {
+  TransportLayer(sim::Simulator& simulator, net::ClosFabric& fabric, TransportConfig config = {}) {
     endpoints_.reserve(fabric.num_hosts());
     for (const net::HostId h : core::ids<net::HostId>(fabric.num_hosts())) {
       endpoints_.push_back(std::make_unique<Transport>(simulator, fabric.host(h), config));

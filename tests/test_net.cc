@@ -4,16 +4,21 @@
 
 #include <array>
 #include <map>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/ring.h"
 #include "core/strong_id.h"
+#include "net/clos_fabric.h"
 #include "net/egress_port.h"
 #include "net/fat_tree.h"
 #include "net/fault.h"
 #include "net/packet_pool.h"
 #include "net/routing.h"
 #include "net/switch.h"
+#include "net/three_level.h"
 #include "sim/simulator.h"
 
 namespace flowpulse::net {
@@ -854,6 +859,182 @@ TEST(FatTree, FlowletDistinctFlowsSpread) {
     if (net.uplink_counters(LeafId{0}, u).tx_packets > core::Packets{0}) ++used;
   }
   EXPECT_GE(used, 3);
+}
+
+// ---------------------------------------------------------------------------
+// The leaf-link fault API, on both fabrics
+// ---------------------------------------------------------------------------
+
+struct FabricCase {
+  const char* name;
+  std::uint32_t parallel;  ///< a FatTree with this many parallel links; 0: ThreeLevelFatTree
+};
+
+void PrintTo(const FabricCase& c, std::ostream* os) { *os << c.name; }
+
+/// One freshly built fabric, driven through the ClosFabric API, plus every
+/// egress port it has. `downlink` names the port that leads down uplink u
+/// to a leaf through the upper switch's own accessor, so the tests pin the
+/// wiring the fault API reads.
+struct FaultRig {
+  explicit FaultRig(const FabricCase& c) {
+    if (c.parallel > 0) {
+      FatTreeConfig cfg;
+      cfg.shape = TopologyInfo{3, 2, 2, c.parallel};
+      two = std::make_unique<FatTree>(sim, cfg);
+      fabric = two.get();
+      leaf_tier = cfg.shape;
+      for (const SpineId s : core::ids<SpineId>(cfg.shape.spines)) {
+        for (const PortIndex p : core::ids<PortIndex>(cfg.shape.leaves * c.parallel)) {
+          ports.push_back(&two->spine(s).down_port(p));
+        }
+      }
+    } else {
+      // pods, leaves_per_pod and spines_per_pod all differ, so a swapped
+      // index lands on a wrong port or out of range.
+      ThreeLevelConfig cfg;
+      cfg.shape = ThreeLevelInfo{2, 3, 4, 2};
+      three = std::make_unique<ThreeLevelFatTree>(sim, cfg);
+      fabric = three.get();
+      leaf_tier = cfg.shape.leaf_tier();
+      for (std::uint32_t pod = 0; pod < cfg.shape.pods; ++pod) {
+        for (std::uint32_t s = 0; s < cfg.shape.spines_per_pod; ++s) {
+          PodSpineSwitch& ps = three->pod_spine(pod, s);
+          for (std::uint32_t l = 0; l < cfg.shape.leaves_per_pod; ++l) {
+            ports.push_back(&ps.down_port(l));
+          }
+          for (std::uint32_t k = 0; k < cfg.shape.cores_per_group(); ++k) {
+            ports.push_back(&ps.core_uplink(k));
+          }
+        }
+      }
+      for (std::uint32_t g = 0; g < cfg.shape.spines_per_pod; ++g) {
+        for (std::uint32_t k = 0; k < cfg.shape.cores_per_group(); ++k) {
+          for (const PortIndex p : core::ids<PortIndex>(cfg.shape.pods)) {
+            ports.push_back(&three->core(g, k).down_port(p));
+          }
+        }
+      }
+    }
+    for (const HostId h : core::ids<HostId>(fabric->num_hosts())) {
+      ports.push_back(&fabric->host(h).nic());
+    }
+    for (const LeafId l : core::ids<LeafId>(leaf_tier.leaves)) {
+      const std::uint32_t n = leaf_tier.hosts_per_leaf + leaf_tier.uplinks_per_leaf();
+      for (const PortIndex p : core::ids<PortIndex>(n)) ports.push_back(&fabric->leaf(l).port(p));
+    }
+  }
+
+  [[nodiscard]] EgressPort& downlink(LeafId leaf, UplinkIndex u) {
+    if (two) return two->spine(leaf_tier.spine_of(u)).down_port_to(leaf, leaf_tier.lane_of(u));
+    const ThreeLevelInfo& shape = three->info();
+    return three->pod_spine(shape.pod_of_leaf(leaf), u.v()).down_port(shape.local_leaf(leaf));
+  }
+
+  /// Fault kind of every port whose fault is not kNone, by port name.
+  [[nodiscard]] std::map<std::string, int> faulted() const {
+    std::map<std::string, int> out;
+    for (const EgressPort* port : ports) {
+      if (port->fault().kind != FaultSpec::Kind::kNone) {
+        out[port->name()] = static_cast<int>(port->fault().kind);
+      }
+    }
+    return out;
+  }
+
+  Simulator sim{1};
+  std::unique_ptr<FatTree> two;
+  std::unique_ptr<ThreeLevelFatTree> three;
+  ClosFabric* fabric = nullptr;
+  TopologyInfo leaf_tier;
+  std::vector<EgressPort*> ports;  ///< every egress port of the fabric
+};
+
+class LeafLinkFaults : public ::testing::TestWithParam<FabricCase> {};
+
+TEST_P(LeafLinkFaults, EachSetterLandsOnExactlyTheWiredPorts) {
+  const FaultSpec spec = FaultSpec::black_hole();
+  const int kind = static_cast<int>(spec.kind);
+  const TopologyInfo leaf_tier = FaultRig{GetParam()}.leaf_tier;
+  for (const LeafId l : core::ids<LeafId>(leaf_tier.leaves)) {
+    for (const UplinkIndex u : core::ids<UplinkIndex>(leaf_tier.uplinks_per_leaf())) {
+      SCOPED_TRACE("leaf " + std::to_string(l.v()) + " uplink " + std::to_string(u.v()));
+      {
+        FaultRig rig{GetParam()};
+        rig.fabric->set_uplink_fault(l, u, spec);
+        EXPECT_EQ(rig.faulted(),
+                  (std::map<std::string, int>{{rig.fabric->leaf(l).uplink(u).name(), kind}}));
+      }
+      {
+        FaultRig rig{GetParam()};
+        rig.fabric->set_downlink_fault(l, u, spec);
+        EXPECT_EQ(rig.faulted(), (std::map<std::string, int>{{rig.downlink(l, u).name(), kind}}));
+      }
+      {
+        FaultRig rig{GetParam()};
+        rig.fabric->set_link_fault(l, u, spec);
+        EXPECT_EQ(rig.faulted(), (std::map<std::string, int>{
+                                     {rig.fabric->leaf(l).uplink(u).name(), kind},
+                                     {rig.downlink(l, u).name(), kind}}));
+      }
+    }
+  }
+}
+
+TEST_P(LeafLinkFaults, DisconnectKnownAlsoMarksRouting) {
+  const int kind = static_cast<int>(FaultSpec::Kind::kDisconnect);
+  const TopologyInfo leaf_tier = FaultRig{GetParam()}.leaf_tier;
+  for (const LeafId l : core::ids<LeafId>(leaf_tier.leaves)) {
+    for (const UplinkIndex u : core::ids<UplinkIndex>(leaf_tier.uplinks_per_leaf())) {
+      SCOPED_TRACE("leaf " + std::to_string(l.v()) + " uplink " + std::to_string(u.v()));
+      FaultRig rig{GetParam()};
+      rig.fabric->disconnect_known(l, u);
+      EXPECT_EQ(rig.faulted(), (std::map<std::string, int>{
+                                   {rig.fabric->leaf(l).uplink(u).name(), kind},
+                                   {rig.downlink(l, u).name(), kind}}));
+      for (const LeafId l2 : core::ids<LeafId>(leaf_tier.leaves)) {
+        for (const UplinkIndex u2 : core::ids<UplinkIndex>(leaf_tier.uplinks_per_leaf())) {
+          EXPECT_EQ(rig.fabric->routing().known_failed(l2, u2), l2 == l && u2 == u);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(LeafLinkFaults, CountersReadTheWiredPorts) {
+  FaultRig rig{GetParam()};
+  const ClosFabric& fabric = *rig.fabric;
+  for (const LeafId l : core::ids<LeafId>(rig.leaf_tier.leaves)) {
+    for (const UplinkIndex u : core::ids<UplinkIndex>(rig.leaf_tier.uplinks_per_leaf())) {
+      EXPECT_EQ(&fabric.uplink_counters(l, u), &rig.fabric->leaf(l).uplink(u).counters());
+      EXPECT_EQ(&fabric.downlink_counters(l, u), &rig.downlink(l, u).counters());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fabrics, LeafLinkFaults,
+                         ::testing::Values(FabricCase{"FatTree", 1},
+                                           FabricCase{"FatTreeParallel2", 2},
+                                           FabricCase{"ThreeLevel", 0}));
+
+TEST(ThreeLevelFaults, CoreLinkFaultLandsOnBothEnds) {
+  const FaultSpec spec = FaultSpec::black_hole();
+  const int kind = static_cast<int>(spec.kind);
+  const ThreeLevelInfo shape = FaultRig{FabricCase{"ThreeLevel", 0}}.three->info();
+  for (std::uint32_t pod = 0; pod < shape.pods; ++pod) {
+    for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
+      for (std::uint32_t k = 0; k < shape.cores_per_group(); ++k) {
+        SCOPED_TRACE("pod " + std::to_string(pod) + " spine " + std::to_string(s) + " core " +
+                     std::to_string(k));
+        FaultRig rig{FabricCase{"ThreeLevel", 0}};
+        rig.three->set_core_link_fault(pod, s, k, spec);
+        EXPECT_EQ(rig.faulted(), (std::map<std::string, int>{
+                                     {rig.three->pod_spine(pod, s).core_uplink(k).name(), kind},
+                                     {rig.three->core(s, k).down_port(PortIndex{pod}).name(),
+                                      kind}}));
+      }
+    }
+  }
 }
 
 TEST(PfcSwitch, BackpressurePausesAndResumes) {

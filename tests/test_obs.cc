@@ -28,6 +28,10 @@
 namespace flowpulse::obs {
 namespace {
 
+using core::EventKind;
+using core::TraceEvent;
+using core::TraceLevel;
+
 // ---------------------------------------------------------------------------
 // json_escape
 // ---------------------------------------------------------------------------

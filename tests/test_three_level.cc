@@ -112,7 +112,7 @@ TEST(ThreeLevel, ByteConservation) {
   rig.net.set_core_link_fault(0, 1, 0, FaultSpec::random_drop(0.2));
   // A dead (not routed-around) uplink: its drops are the only ones the
   // switch counters can see.
-  rig.net.set_leaf_link_fault(LeafId{1}, 0, FaultSpec::disconnect());
+  rig.net.set_link_fault(LeafId{1}, UplinkIndex{0}, FaultSpec::disconnect());
   int got = 0;
   for (const HostId h : core::ids<HostId>(8)) {
     rig.net.host(h).set_rx_handler([&](const Packet&) { ++got; });
@@ -135,7 +135,7 @@ TEST(ThreeLevel, KnownDisconnectAvoidedEndToEnd) {
   Rig3 rig{{2, 2, 2, 1}};
   // Leaf 2 (pod 1) loses its link to pod-spine index 0: cross-pod traffic
   // to leaf 2 must use spine index 1 (and its core group) exclusively.
-  rig.net.disconnect_known(LeafId{2}, 0);
+  rig.net.disconnect_known(LeafId{2}, UplinkIndex{0});
   int got = 0;
   rig.net.host(HostId{2}).set_rx_handler([&](const Packet&) { ++got; });
   for (int i = 0; i < 100; ++i) {
@@ -296,7 +296,7 @@ TEST(ThreeLevelFlowPulse, CleanRunQuietAtBothTiers) {
 
 TEST(ThreeLevelFlowPulse, LeafLinkFaultSeenAtLeafTier) {
   FullRig3 rig{{4, 2, 2, 1}, 8ull << 20, 3};
-  rig.net.set_leaf_link_fault(LeafId{3}, 1, FaultSpec::random_drop(0.05));
+  rig.net.set_link_fault(LeafId{3}, UplinkIndex{1}, FaultSpec::random_drop(0.05));
   rig.run();
   bool found = false;
   for (const auto& r : rig.fps.leaf_tier().faulty_results()) {
