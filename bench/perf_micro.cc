@@ -450,7 +450,6 @@ void BM_DetectorEvaluate(benchmark::State& state) {
   for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(16)) {
     pred.add(net::LeafId{5}, u, net::LeafId{4}, 1.0e6);
   }
-  fp::Detector det{pred, 0.01};
   fp::IterationRecord rec;
   rec.leaf = net::LeafId{5};
   rec.iteration = net::IterIndex{1};
@@ -458,7 +457,7 @@ void BM_DetectorEvaluate(benchmark::State& state) {
   rec.by_src.assign(16, std::vector<double>(32, 0.0));
   for (auto& v : rec.by_src) v[4] = 1.0e6;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(det.evaluate(rec));
+    benchmark::DoNotOptimize(fp::evaluate_record(pred, 0.01, rec));
   }
   state.SetItemsProcessed(state.iterations());
 }

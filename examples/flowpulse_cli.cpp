@@ -12,6 +12,7 @@
 #include <iostream>
 #include <string>
 
+#include "daemon/flags.h"
 #include "daemon/stream_file.h"
 #include "exp/report.h"
 #include "exp/scenario.h"
@@ -20,6 +21,9 @@
 using namespace flowpulse;
 
 namespace {
+
+using daemon::parse_flag;
+using daemon::parse_num;
 
 struct CliOptions {
   std::uint32_t leaves = 32, spines = 16, hosts_per_leaf = 1, parallel = 1;
@@ -40,23 +44,6 @@ struct CliOptions {
   std::string json_path, alerts_path, csv_path, dump_path;
   bool help = false;
 };
-
-bool parse_flag(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
-template <typename T>
-bool parse_num(const char* arg, const char* name, T* out) {
-  std::string s;
-  if (!parse_flag(arg, name, &s)) return false;
-  *out = static_cast<T>(std::strtod(s.c_str(), nullptr));
-  return true;
-}
 
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
@@ -84,7 +71,7 @@ CliOptions parse(int argc, char** argv) {
                parse_flag(a, "--dump-counters", &o.dump_path)) {
       // parsed
     } else {
-      std::cerr << "unknown flag: " << a << " (try --help)\n";
+      std::cerr << "unknown flag or bad value: " << a << " (try --help)\n";
       std::exit(2);
     }
   }
@@ -98,8 +85,11 @@ void usage() {
 topology:   --leaves=N --spines=N --hosts-per-leaf=N --parallel=N
 workload:   --collective=ring|allreduce|allgather|alltoall|hier
             --bytes=N --iters=N --jitter-us=F
-detection:  --model=analytical|simulation|learned --threshold=F
+detection:  --model=analytical|simulation|learned
             --detector=threshold|streaming       (O(1) EWMA z-score detector)
+            --threshold=F                        (relative deviation that alerts
+            under --detector=threshold and --model=learned; streaming
+            judges by its own rule)
 fidelity:   --fidelity=packet|hybrid|flow        (hybrid fast-forwards healthy
             iterations analytically and drops to packets around faults)
 faults:     --preexisting=N                      (known disconnected links)

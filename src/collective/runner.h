@@ -67,9 +67,6 @@ class CollectiveRunner {
   /// not start a new iteration while one is running.
   void start_iteration(std::uint32_t iteration);
 
-  /// True while an iteration is in flight (between begin and finish).
-  [[nodiscard]] bool running() const { return running_; }
-
   void add_iteration_hook(IterationHook hook) { iteration_hooks_.push_back(std::move(hook)); }
 
   [[nodiscard]] bool finished() const { return completed_iterations_ == config_.iterations; }

@@ -29,7 +29,6 @@ class Time {
   [[nodiscard]] constexpr double ns() const { return static_cast<double>(ps_) / 1e3; }
   [[nodiscard]] constexpr double us() const { return static_cast<double>(ps_) / 1e6; }
   [[nodiscard]] constexpr double ms() const { return static_cast<double>(ps_) / 1e9; }
-  [[nodiscard]] constexpr double sec() const { return static_cast<double>(ps_) / 1e12; }
 
   constexpr Time& operator+=(Time rhs) {
     ps_ += rhs.ps_;

@@ -18,28 +18,11 @@ void MitigationController::observe(const fp::DetectionResult& result) {
   ++agg.reports;
   agg.max_dev = std::max(agg.max_dev, result.max_rel_dev);
   for (const fp::PortAlert& a : result.alerts) {
-    // Shortfall alerts implicate a link; surplus is the shortfall's traffic
-    // resurfacing elsewhere (retransmissions) and names no culprit.
-    if (a.observed >= a.predicted) continue;
-    auto implicate = [&agg](net::LeafId leaf, net::UplinkIndex uplink) {
-      const net::LinkId key = net::LinkId::of(leaf, uplink);
+    fp::for_each_suspect_link(result.leaf, a, [&agg](net::LinkId key) {
       if (std::find(agg.suspects.begin(), agg.suspects.end(), key) == agg.suspects.end()) {
         agg.suspects.push_back(key);
       }
-    };
-    switch (a.localization.verdict) {
-      case fp::Localization::Verdict::kLocalLink:
-      case fp::Localization::Verdict::kUnknown:
-        implicate(result.leaf, a.uplink);
-        break;
-      case fp::Localization::Verdict::kRemoteLinks:
-        // The missing senders' traffic died on THEIR leaf↔spine link of the
-        // same virtual spine (uplink index is global across leaves).
-        for (const net::LeafId sender : a.localization.suspect_senders) {
-          implicate(sender, a.uplink);
-        }
-        break;
-    }
+    });
   }
   const std::uint32_t expected =
       policy_.reports_per_iteration > 0 ? policy_.reports_per_iteration : routing_.leaves();

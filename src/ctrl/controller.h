@@ -16,7 +16,7 @@
 namespace flowpulse::ctrl {
 
 /// Closed-loop mitigation policy. The detection threshold the controller
-/// judges iterations by defaults to the attached detector's (threshold <= 0
+/// judges iterations by defaults to the attached system's (threshold <= 0
 /// means "inherit on attach").
 ///
 /// The loop, per suspect (leaf, uplink):
@@ -35,7 +35,7 @@ namespace flowpulse::ctrl {
 struct MitigationPolicy {
   bool enabled = false;
   /// Deviation threshold for probation judgement; <= 0 inherits the
-  /// detector's threshold when attach()ed to a FlowPulseSystem.
+  /// system's threshold when attach()ed to a FlowPulseSystem.
   double threshold = 0.0;
   /// K: consecutive alerted iterations implicating the same (leaf, uplink)
   /// before the controller acts — debounce against one-iteration blips.
@@ -104,9 +104,8 @@ struct RecoveryTimeline {
 /// positives) and trial-restoring confirmed quarantines to catch links that
 /// healed (flaps). All actions are appended to an event log.
 ///
-/// Localization → suspect link: a kLocalLink alert at leaf L port u blames
-/// (L, u); a kRemoteLinks alert blames (sender, u) for each suspect sender —
-/// the sender-side leaf↔spine link of the same virtual spine.
+/// The links an alert implicates follow fp::for_each_suspect_link, the
+/// culprit rule the daemon's verdict plane shares.
 class MitigationController {
  public:
   /// Recompute + install the load model for the current RoutingState. The

@@ -3,8 +3,8 @@
 // Blocking flowpulsed client: one TCP connection speaking the wire
 // protocol, with typed helpers for every request. The load generator, the
 // merge client and the socket smoke tests all sit on this; pipelined bulk
-// ingest uses send_frames() + drain_replies() so N COUNTERS can be in
-// flight per round trip (the redis-benchmark pattern).
+// ingest uses send_frames() and then one recv_reply() per frame, so N
+// COUNTERS can be in flight per round trip (the redis-benchmark pattern).
 
 #include <cstdint>
 #include <optional>

@@ -13,12 +13,15 @@
 #include <string>
 
 #include "daemon/engine.h"
+#include "daemon/flags.h"
 #include "daemon/server.h"
-#include "flowpulse/detector.h"
 
 using namespace flowpulse;
 
 namespace {
+
+using daemon::parse_flag;
+using daemon::parse_num;
 
 struct DaemonOptions {
   daemon::ServerConfig server{};
@@ -31,23 +34,6 @@ struct DaemonOptions {
   bool help = false;
   bool bad = false;
 };
-
-bool parse_flag(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
-template <typename T>
-bool parse_num(const char* arg, const char* name, T* out) {
-  std::string s;
-  if (!parse_flag(arg, name, &s)) return false;
-  *out = static_cast<T>(std::strtod(s.c_str(), nullptr));
-  return true;
-}
 
 DaemonOptions parse(int argc, char** argv) {
   DaemonOptions o;
@@ -69,7 +55,7 @@ DaemonOptions parse(int argc, char** argv) {
                parse_num(a, "--shard-count", &o.shard_count)) {
       // parsed
     } else {
-      std::fprintf(stderr, "flowpulsed: unknown flag '%s' (try --help)\n", a);
+      std::fprintf(stderr, "flowpulsed: unknown flag or bad value '%s' (try --help)\n", a);
       o.bad = true;
     }
   }
@@ -87,7 +73,8 @@ void usage() {
       "                       fabric shape (must match clients' HELLO)\n"
       "  --job=N              monitored job id (default 0)\n"
       "  --detector=KIND      streaming | threshold (default streaming)\n"
-      "  --threshold=F        relative-deviation threshold (default 0.01)\n"
+      "  --threshold=F        relative-deviation threshold of --detector=threshold\n"
+      "                       (default 0.01; streaming judges by its own rule)\n"
       "  --shard-index=I --shard-count=N\n"
       "                       cluster mode: own leaves [I*L/N, (I+1)*L/N)");
 }

@@ -23,13 +23,6 @@ void VerdictAccumulator::fold(const fp::DetectionResult& result) {
     first_faulty_iteration_ = result.iteration;
   }
   flagged_ = true;
-  auto implicate = [this](net::LeafId leaf, net::UplinkIndex uplink) {
-    const net::LinkId key = net::LinkId::of(leaf, uplink);
-    if (std::find(suspect_links_.begin(), suspect_links_.end(), key) ==
-        suspect_links_.end()) {
-      suspect_links_.push_back(key);
-    }
-  };
   for (const fp::PortAlert& a : result.alerts) {
     VerdictAlert va;
     va.iteration = result.iteration;
@@ -41,20 +34,12 @@ void VerdictAccumulator::fold(const fp::DetectionResult& result) {
     va.verdict = a.localization.verdict;
     va.suspect_senders = a.localization.suspect_senders;
     alerts_.push_back(std::move(va));
-    // Same culprit rule as ctrl::MitigationController::observe: shortfalls
-    // implicate a link, surplus is that traffic resurfacing elsewhere.
-    if (a.observed >= a.predicted) continue;
-    switch (a.localization.verdict) {
-      case fp::Localization::Verdict::kLocalLink:
-      case fp::Localization::Verdict::kUnknown:
-        implicate(result.leaf, a.uplink);
-        break;
-      case fp::Localization::Verdict::kRemoteLinks:
-        for (const net::LeafId sender : a.localization.suspect_senders) {
-          implicate(sender, a.uplink);
-        }
-        break;
-    }
+    fp::for_each_suspect_link(result.leaf, a, [this](net::LinkId key) {
+      if (std::find(suspect_links_.begin(), suspect_links_.end(), key) ==
+          suspect_links_.end()) {
+        suspect_links_.push_back(key);
+      }
+    });
   }
 }
 

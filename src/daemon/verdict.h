@@ -38,10 +38,8 @@ struct VerdictAlert {
 /// Fabric-level verdict: was a fault flagged, from which iteration, on
 /// which links — plus every contributing port alert in canonical order.
 ///
-/// Suspect links follow the mitigation controller's localization → link
-/// rule (src/ctrl): a shortfall alert with a kLocalLink / kUnknown verdict
-/// blames (leaf, uplink); kRemoteLinks blames (sender, uplink) for each
-/// suspect sender. Surplus alerts name no culprit.
+/// Suspect links follow fp::for_each_suspect_link, the culprit rule the
+/// mitigation controller shares.
 struct FabricVerdict {
   bool flagged = false;
   net::IterIndex first_faulty_iteration{};

@@ -29,7 +29,6 @@ struct Rates {
     return n == 0 ? std::numeric_limits<double>::quiet_NaN()
                   : static_cast<double>(fn) / static_cast<double>(n);
   }
-  [[nodiscard]] double tpr() const { return 1.0 - fnr(); }
 
   Rates& operator+=(const Rates& o) {
     tp += o.tp;

@@ -151,12 +151,10 @@ void Scenario::build() {
   if (lane_runner_ != nullptr) flowpulse_->set_deferred_evaluation(true);
   switch (config_.flowpulse.model) {
     case fp::ModelKind::kAnalytical:
-      prediction_ = std::make_unique<fp::PortLoadMap>(analytical_prediction());
-      flowpulse_->set_prediction(*prediction_);
+      flowpulse_->set_prediction(analytical_prediction());
       break;
     case fp::ModelKind::kSimulation:
-      prediction_ = std::make_unique<fp::PortLoadMap>(simulation_prediction());
-      flowpulse_->set_prediction(*prediction_);
+      flowpulse_->set_prediction(simulation_prediction());
       break;
     case fp::ModelKind::kLearned:  // the system learns in-band
     case fp::ModelKind::kDynamic:  // the provider predicts per iteration
@@ -167,7 +165,7 @@ void Scenario::build() {
   // the iteration loop, which the background job's free-running runner is
   // incompatible with; anything else falls back to the packet path.
   hybrid_active_ = config_.fidelity.mode != fp::FidelityMode::kPacket &&
-                   prediction_ != nullptr && config_.background.bytes == core::Bytes{0};
+                   prediction() != nullptr && config_.background.bytes == core::Bytes{0};
   if (hybrid_active_) {
     fp::FastForwardModel::Config ffc;
     ffc.mtu_payload = config_.transport.mtu_payload;
@@ -189,15 +187,14 @@ void Scenario::build() {
     fastforward_->rebaseline(demand_, fabric_->routing());
   }
 
-  if (config_.mitigation.enabled && prediction_ != nullptr) {
+  if (config_.mitigation.enabled && prediction() != nullptr) {
     controller_ = std::make_unique<ctrl::MitigationController>(*sim_, fabric_->routing(),
                                                                config_.mitigation);
     // Re-baseline = re-run the closed-form model over the updated failed
     // set: a quarantined uplink becomes a *known* fault, exactly what
     // d/(s−f) absorbs. The fast-forward synthesis follows the same routing.
     controller_->set_rebaseline([this] {
-      *prediction_ = analytical_prediction();
-      flowpulse_->set_prediction(*prediction_);
+      flowpulse_->set_prediction(analytical_prediction());
       if (fastforward_) fastforward_->rebaseline(demand_, fabric_->routing());
     });
     controller_->attach(*flowpulse_);

@@ -159,8 +159,9 @@ class Scenario {
   [[nodiscard]] const collective::CommSchedule& schedule() const { return schedule_; }
   [[nodiscard]] const collective::DemandMatrix& demand() const { return demand_; }
 
-  /// The prediction FlowPulse was armed with (empty for kLearned).
-  [[nodiscard]] const fp::PortLoadMap* prediction() const { return prediction_.get(); }
+  /// The prediction FlowPulse is armed with (nullptr for kLearned and
+  /// kDynamic).
+  [[nodiscard]] const fp::PortLoadMap* prediction() const { return flowpulse_->prediction(); }
 
   /// The flight recorder feeding the run, nullptr when tracing is off.
   [[nodiscard]] obs::FlightRecorder* recorder() { return recorder_.get(); }
@@ -190,7 +191,6 @@ class Scenario {
   std::unique_ptr<collective::CollectiveRunner> background_runner_;
   std::unique_ptr<fp::FlowPulseSystem> flowpulse_;
   std::unique_ptr<ctrl::MitigationController> controller_;
-  std::unique_ptr<fp::PortLoadMap> prediction_;
   std::unique_ptr<fp::FastForwardModel> fastforward_;
   bool hybrid_active_ = false;
   fp::FidelityStats fidelity_stats_;

@@ -70,8 +70,4 @@ DetectionResult evaluate_record(const PortLoadMap& prediction, double threshold,
   return result;
 }
 
-DetectionResult Detector::evaluate(const IterationRecord& record) const {
-  return evaluate_record(prediction_, threshold_, record);
-}
-
 }  // namespace flowpulse::fp

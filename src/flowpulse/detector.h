@@ -61,24 +61,27 @@ struct DetectionResult {
 [[nodiscard]] DetectionResult evaluate_record(const PortLoadMap& prediction, double threshold,
                                               const IterationRecord& record);
 
-/// Threshold detector (paper §5.3): compares each finalized iteration
-/// against the per-port prediction; any port whose relative deviation
-/// exceeds the threshold raises an alert, which is then localized.
-class Detector {
- public:
-  Detector(PortLoadMap prediction, double threshold)
-      : prediction_{std::move(prediction)}, threshold_{threshold} {}
-
-  [[nodiscard]] DetectionResult evaluate(const IterationRecord& record) const;
-
-  [[nodiscard]] double threshold() const { return threshold_; }
-  void set_threshold(double t) { threshold_ = t; }
-  [[nodiscard]] const PortLoadMap& prediction() const { return prediction_; }
-  void set_prediction(PortLoadMap p) { prediction_ = std::move(p); }
-
- private:
-  PortLoadMap prediction_;
-  double threshold_;
-};
+/// The culprit rule: calls `visit(net::LinkId)` for each link one port
+/// alert at `leaf` blames, allocating nothing. A shortfall localized
+/// kLocalLink or kUnknown blames (leaf, uplink). kRemoteLinks blames
+/// (sender, uplink) for each suspect sender: the missing traffic died on
+/// the sender's own leaf↔spine link of the same virtual spine (the uplink
+/// index is global across leaves). A surplus blames nothing — it is a
+/// shortfall's traffic resurfacing elsewhere (retransmissions).
+template <typename Visit>
+void for_each_suspect_link(net::LeafId leaf, const PortAlert& alert, Visit&& visit) {
+  if (alert.observed >= alert.predicted) return;
+  switch (alert.localization.verdict) {
+    case Localization::Verdict::kLocalLink:
+    case Localization::Verdict::kUnknown:
+      visit(net::LinkId::of(leaf, alert.uplink));
+      return;
+    case Localization::Verdict::kRemoteLinks:
+      for (const net::LeafId sender : alert.localization.suspect_senders) {
+        visit(net::LinkId::of(sender, alert.uplink));
+      }
+      return;
+  }
+}
 
 }  // namespace flowpulse::fp

@@ -6,8 +6,8 @@
 
 namespace flowpulse::fp {
 
-LearnedModel::LearnedModel(std::uint32_t uplinks, Config config)
-    : uplinks_{uplinks}, config_{config} {
+LearnedModel::LearnedModel(std::uint32_t uplinks, Config config, double threshold)
+    : uplinks_{uplinks}, config_{config}, threshold_{threshold} {
   reset_learning();
 }
 
@@ -73,7 +73,7 @@ LearnedModel::Outcome LearnedModel::observe(const IterationRecord& record) {
   for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks_)) {
     const double dev = relative_deviation(record.bytes[u.v()], baseline_[u.v()]);
     out.max_rel_dev = std::max(out.max_rel_dev, dev);
-    if (dev > config_.threshold) out.deviating_ports.push_back(u);
+    if (dev > threshold_) out.deviating_ports.push_back(u);
   }
 
   if (out.deviating_ports.empty()) {
@@ -97,7 +97,7 @@ LearnedModel::Outcome LearnedModel::observe(const IterationRecord& record) {
   constexpr double kHealingCvMargin = 0.05;
   const double cv_now = dispersion(record.bytes);
   const bool weakest_improved =
-      min_active(record.bytes) >= min_active(baseline_) * (1.0 - config_.threshold);
+      min_active(record.bytes) >= min_active(baseline_) * (1.0 - threshold_);
   if (weakest_improved && cv_now < baseline_cv_ * (1.0 - kHealingCvMargin)) {
     out.kind = Outcome::Kind::kRebaseline;
     ++rebaseline_count_;
@@ -114,7 +114,7 @@ LearnedModel::Outcome LearnedModel::observe(const IterationRecord& record) {
     PortLoad learned_load{static_cast<std::uint32_t>(baseline_by_src_[u.v()].size())};
     learned_load.total = baseline_[u.v()];
     learned_load.by_src_leaf = baseline_by_src_[u.v()];
-    out.localizations.push_back(localize(record, learned_load, u, config_.threshold));
+    out.localizations.push_back(localize(record, learned_load, u, threshold_));
   }
   return out;
 }

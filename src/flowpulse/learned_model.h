@@ -20,12 +20,13 @@ namespace flowpulse::fp {
 /// *upward* and the dispersion (coefficient of variation) across active
 /// ports shrinks — and re-learns the baseline instead of alerting.
 /// A new fault shows the opposite signature (a port drops, dispersion
-/// grows) and is reported as an alert.
+/// grows) and is reported as an alert. A port deviates when its relative
+/// deviation from the baseline exceeds `threshold`, the system's detection
+/// threshold (SystemConfig::threshold).
 class LearnedModel {
  public:
   struct Config {
     std::uint32_t learn_iterations = 3;
-    double threshold = 0.01;
   };
 
   enum class Phase : std::uint8_t { kLearning, kMonitoring };
@@ -45,7 +46,7 @@ class LearnedModel {
     std::vector<Localization> localizations;
   };
 
-  LearnedModel(std::uint32_t uplinks, Config config);
+  LearnedModel(std::uint32_t uplinks, Config config, double threshold);
 
   /// Feed one finalized iteration; returns what the model concluded.
   Outcome observe(const IterationRecord& record);
@@ -68,6 +69,7 @@ class LearnedModel {
 
   std::uint32_t uplinks_;
   Config config_;
+  double threshold_;
   Phase phase_ = Phase::kLearning;
   std::uint32_t samples_ = 0;
   std::vector<double> sum_;       // accumulating learning samples

@@ -83,7 +83,6 @@ class PortMonitor {
 
   [[nodiscard]] const std::vector<IterationRecord>& history() const { return history_; }
   [[nodiscard]] net::LeafId leaf() const { return row_; }
-  [[nodiscard]] bool accumulating() const { return current_.has_value(); }
 
 #if FP_AUDIT_ENABLED
   /// Exact wire bytes this monitor counted on `port` across the whole run

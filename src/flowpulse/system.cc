@@ -15,7 +15,8 @@ FlowPulseSystem::FlowPulseSystem(const Tier& tier, SystemConfig config)
       if (!deferred_) on_finalized(r);
     });
     if (config_.model == ModelKind::kLearned) {
-      learned_.push_back(std::make_unique<LearnedModel>(tier_.ports, config_.learned));
+      learned_.push_back(
+          std::make_unique<LearnedModel>(tier_.ports, config_.learned, config_.threshold));
     }
     if (config_.detector == DetectorKind::kStreaming) {
       streaming_.push_back(std::make_unique<StreamingDetector>(l, tier_.ports, tier_.senders,
@@ -29,7 +30,7 @@ void FlowPulseSystem::set_prediction(PortLoadMap prediction) {
   // prediction (arm and every controller re-baseline alike), so a routing
   // change does not register as a deviation.
   for (auto& s : streaming_) s->seed(prediction);
-  detector_ = std::make_unique<Detector>(std::move(prediction), config_.threshold);
+  prediction_ = std::move(prediction);
 }
 
 void FlowPulseSystem::on_finalized(const IterationRecord& record) {
@@ -47,28 +48,21 @@ void FlowPulseSystem::on_finalized(const IterationRecord& record) {
                                                learned_[record.leaf.v()]->observe(record)});
     return;
   }
+  const PortLoadMap* expected = prediction();
   if (config_.model == ModelKind::kDynamic) {
-    if (provider_) {
-      if (const PortLoadMap* prediction = provider_(record.iteration)) {
-        results_.push_back(evaluate_record(*prediction, config_.threshold, record));
-        trace_result(results_.back());
-        if (alert_hook_) alert_hook_(results_.back());
-      }
-    }
+    expected = provider_ ? provider_(record.iteration) : nullptr;
+  } else if (config_.detector == DetectorKind::kStreaming) {
+    publish(streaming_[record.leaf.v()]->observe(record));
     return;
   }
-  if (config_.detector == DetectorKind::kStreaming) {
-    results_.push_back(streaming_[record.leaf.v()]->observe(record));
-    trace_result(results_.back());
-    if (alert_hook_) alert_hook_(results_.back());
-    return;
-  }
-  if (detector_ != nullptr) {
-    results_.push_back(detector_->evaluate(record));
-    trace_result(results_.back());
-    // The hook may swap the detector (re-baseline); evaluation is done.
-    if (alert_hook_) alert_hook_(results_.back());
-  }
+  if (expected != nullptr) publish(evaluate_record(*expected, config_.threshold, record));
+}
+
+void FlowPulseSystem::publish(DetectionResult result) {
+  results_.push_back(std::move(result));
+  trace_result(results_.back());
+  // The hook may re-arm the system (re-baseline); judging is done.
+  if (alert_hook_) alert_hook_(results_.back());
 }
 
 // One kDetectorFlag + one kLocalization event per alerted port. Separate

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "flowpulse/detector.h"
@@ -30,8 +31,10 @@ enum class DetectorKind : std::uint8_t {
 };
 
 struct SystemConfig {
-  double threshold = 0.01;  ///< paper's default detection threshold (1%)
-  std::uint16_t job = 0;    ///< which tagged collective to measure
+  /// Relative deviation beyond which a port alerts (paper's default, 1%).
+  /// Judges kThreshold and kLearned; kStreaming has its own rule.
+  double threshold = 0.01;
+  std::uint16_t job = 0;  ///< which tagged collective to measure
   ModelKind model = ModelKind::kAnalytical;
   LearnedModel::Config learned{};
   DetectorKind detector = DetectorKind::kThreshold;
@@ -43,9 +46,11 @@ struct SystemConfig {
 /// in the paper.
 ///
 /// For kAnalytical / kSimulation, install the prediction with
-/// set_prediction() before the run; every finalized iteration is evaluated
-/// eagerly and collected in results(). For kLearned, each row owns a
-/// LearnedModel whose outcomes are collected in learned_outcomes().
+/// set_prediction() before the run; every finalized iteration is judged
+/// against it with evaluate_record() (kDynamic: against the provider's
+/// prediction) and collected in results(). For kLearned, each row owns a
+/// LearnedModel, judging at the same threshold, whose outcomes are
+/// collected in learned_outcomes().
 ///
 /// The detection core needs only the tier's shape, so any substrate can
 /// feed it:
@@ -73,6 +78,10 @@ class FlowPulseSystem {
 
   /// Install the per-port prediction (fixed-model modes).
   void set_prediction(PortLoadMap prediction);
+  /// The installed prediction; nullptr until set_prediction().
+  [[nodiscard]] const PortLoadMap* prediction() const {
+    return prediction_ ? &*prediction_ : nullptr;
+  }
 
   /// kDynamic mode: called at evaluation time with the iteration number;
   /// returns that iteration's prediction (nullptr → skip the iteration,
@@ -137,23 +146,18 @@ class FlowPulseSystem {
   [[nodiscard]] std::vector<DetectionResult> faulty_results() const;
 
   [[nodiscard]] PortMonitor& monitor(net::LeafId leaf) { return *monitors_[leaf.v()]; }
-  [[nodiscard]] LearnedModel& learned_model(net::LeafId leaf) { return *learned_[leaf.v()]; }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  [[nodiscard]] bool has_prediction() const { return detector_ != nullptr; }
-  [[nodiscard]] const Detector& detector() const { return *detector_; }
-  /// kStreaming only: the per-leaf streaming detector.
-  [[nodiscard]] StreamingDetector& streaming_detector(net::LeafId leaf) {
-    return *streaming_[leaf.v()];
-  }
 
  private:
   void on_finalized(const IterationRecord& record);
+  /// Every result's one way out: collect it, trace it, call the alert hook.
+  void publish(DetectionResult result);
   void trace_result(const DetectionResult& r);
 
   Tier tier_;
   SystemConfig config_;
   std::vector<std::unique_ptr<PortMonitor>> monitors_;
-  std::unique_ptr<Detector> detector_;
+  std::optional<PortLoadMap> prediction_;
   std::vector<std::unique_ptr<StreamingDetector>> streaming_;
   PredictionProvider provider_;
   AlertHook alert_hook_;

@@ -101,11 +101,9 @@ class EgressPort {
     return bytes;
   }
   [[nodiscard]] std::size_t queued_packets() const;
-  [[nodiscard]] bool busy() const { return transmitting_; }
 
   void set_fault(FaultSpec fault) { fault_.set_spec(fault); }
   [[nodiscard]] const FaultSpec& fault() const { return fault_.spec(); }
-  [[nodiscard]] const FaultModel& fault_model() const { return fault_; }
 
   /// Observe wire transmissions (used by the transport for RTO timing and
   /// by tests). Fires after serialization, before propagation, with a copy

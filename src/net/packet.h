@@ -45,9 +45,4 @@ struct Packet {
   std::uint8_t retx = 0;  ///< retransmission attempt count
 };
 
-/// Payload bytes carried by a data packet of the given wire size.
-[[nodiscard]] constexpr core::Bytes payload_bytes(const Packet& p) {
-  return p.size_bytes > kHeaderBytes ? p.size_bytes - kHeaderBytes : core::Bytes{0};
-}
-
 }  // namespace flowpulse::net

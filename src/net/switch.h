@@ -155,7 +155,6 @@ class LeafSwitch final : public Switch {
   }
 
   [[nodiscard]] LeafId id() const { return id_; }
-  [[nodiscard]] SprayPolicy spray_policy() const { return spray_; }
 
  private:
   static constexpr UplinkIndex kNoUplink{0xffffffffu};

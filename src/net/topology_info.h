@@ -35,9 +35,6 @@ struct TopologyInfo {
   [[nodiscard]] constexpr std::uint32_t local_index(HostId h) const {
     return h.v() % hosts_per_leaf;
   }
-  [[nodiscard]] constexpr HostId host_under(LeafId leaf, std::uint32_t local) const {
-    return HostId{leaf.v() * hosts_per_leaf + local};
-  }
   [[nodiscard]] constexpr SpineId spine_of(UplinkIndex u) const {
     return SpineId{u.v() / parallel};
   }

@@ -117,8 +117,6 @@ class EventLane {
   [[nodiscard]] bool stopped() const { return stopped_; }
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
   [[nodiscard]] std::uint64_t fast_forwards() const { return fast_forwards_; }
-  [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.scheduled_total(); }
-  [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
   // -------------------------------------------------------------------------
   // Lane protocol (driven by LaneRunner; inert in standalone/serial use)

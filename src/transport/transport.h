@@ -110,7 +110,6 @@ class Transport {
   void set_probe_handler(ProbeHandler handler) { probe_handler_ = std::move(handler); }
 
   [[nodiscard]] const TransportStats& stats() const { return stats_; }
-  [[nodiscard]] net::HostId host_id() const { return host_.id(); }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
   /// Smoothed RTT estimate (zero until the first sample).
   [[nodiscard]] sim::Time srtt() const { return srtt_; }

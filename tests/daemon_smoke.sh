@@ -47,6 +47,15 @@ wait_port_file() {  # path
   return 1
 }
 
+echo "== flag values that do not parse whole or fit are refused (exit 2) =="
+# --port=0 keeps a daemon that wrongly accepted the value off the default
+# port; the timeout ends it.
+for bad in --port=70000 --leaves=abc --leaves=-1; do
+  rc=0
+  timeout 10 "$DAEMON" --port=0 "$bad" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "daemon_smoke: flowpulsed $bad exited $rc, want 2" >&2; exit 1; }
+done
+
 echo "== single daemon: replay + verdict + clean shutdown =="
 "$DAEMON" --port=0 --port-file="$WORK/fp.port" --leaves=32 --spines=16 &
 PID=$!

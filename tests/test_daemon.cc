@@ -18,6 +18,7 @@
 
 #include "daemon/client.h"
 #include "daemon/engine.h"
+#include "daemon/flags.h"
 #include "daemon/protocol.h"
 #include "daemon/server.h"
 #include "daemon/stream_file.h"
@@ -598,6 +599,56 @@ TEST(DaemonStreamFile, RoundTripsThroughDisk) {
 // ---------------------------------------------------------------------------
 // Socket smoke: one real epoll server round trip (ephemeral port).
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Command-line flags (flowpulsed, flowpulse-bench, flowpulse-merge, flowpulse_cli)
+// ---------------------------------------------------------------------------
+
+TEST(DaemonFlags, AcceptsWholeValuesThatFitTheirField) {
+  std::uint16_t port = 7;
+  EXPECT_TRUE(parse_num("--port=0", "--port", &port));
+  EXPECT_EQ(port, 0u);
+  EXPECT_TRUE(parse_num("--port=65535", "--port", &port));
+  EXPECT_EQ(port, 65535u);
+  std::uint32_t leaves = 0;
+  EXPECT_TRUE(parse_num("--leaves=32", "--leaves", &leaves));
+  EXPECT_EQ(leaves, 32u);
+  std::uint64_t bytes = 0;
+  EXPECT_TRUE(parse_num("--bytes=48000000", "--bytes", &bytes));
+  EXPECT_EQ(bytes, 48'000'000u);
+  double threshold = 0.0;
+  EXPECT_TRUE(parse_num("--threshold=0.05", "--threshold", &threshold));
+  EXPECT_DOUBLE_EQ(threshold, 0.05);
+  std::string value;
+  EXPECT_TRUE(parse_flag("--detector=streaming", "--detector", &value));
+  EXPECT_EQ(value, "streaming");
+  EXPECT_TRUE(parse_flag("--port-file=fp.port", "--port-file", &value));
+  EXPECT_EQ(value, "fp.port");
+  // A longer flag that shares the name's prefix is a different flag.
+  EXPECT_FALSE(parse_flag("--port-file=fp.port", "--port", &value));
+  EXPECT_FALSE(parse_num("--port-file=7", "--port", &port));
+  EXPECT_FALSE(parse_flag("--port", "--port", &value));
+}
+
+TEST(DaemonFlags, RejectsValuesThatDoNotParseWholeOrFit) {
+  std::uint16_t port = 7;
+  for (const char* arg : {"--port=70000", "--port=-1", "--port=abc", "--port=", "--port=12x",
+                          "--port=1.5", "--port= 1", "--port=+1", "--port=0x10"}) {
+    EXPECT_FALSE(parse_num(arg, "--port", &port)) << arg;
+  }
+  EXPECT_EQ(port, 7u);  // a refused value leaves the field as it was
+  std::uint32_t leaves = 3;
+  for (const char* arg : {"--leaves=-1", "--leaves=abc", "--leaves=4294967296", "--leaves=1e3"}) {
+    EXPECT_FALSE(parse_num(arg, "--leaves", &leaves)) << arg;
+  }
+  EXPECT_EQ(leaves, 3u);
+  double threshold = 0.01;
+  for (const char* arg : {"--threshold=abc", "--threshold=0.05x", "--threshold=nan",
+                          "--threshold=inf", "--threshold=1e400", "--threshold="}) {
+    EXPECT_FALSE(parse_num(arg, "--threshold", &threshold)) << arg;
+  }
+  EXPECT_DOUBLE_EQ(threshold, 0.01);
+}
 
 TEST(DaemonSocketSmoke, FullProtocolOverRealSockets) {
   EngineConfig ec = small_engine_config();

@@ -1,9 +1,11 @@
 // FlowPulse core tests: analytical model math, the port monitor's
-// iteration delimiting, threshold detection, localization, and the
-// learned model's re-baselining state machine.
+// iteration delimiting, threshold detection, localization, the culprit
+// rule, and the learned model's re-baselining state machine.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "collective/demand_matrix.h"
 #include "core/strong_id.h"
@@ -13,6 +15,7 @@
 #include "flowpulse/learned_model.h"
 #include "flowpulse/monitor.h"
 #include "flowpulse/port_load.h"
+#include "flowpulse/system.h"
 #include "net/routing.h"
 #include "net/topology_info.h"
 
@@ -228,8 +231,7 @@ TEST(Detector, NoAlertWithinThreshold) {
   PortLoadMap pred{2, 2};
   pred.add(net::LeafId{0}, net::UplinkIndex{0}, net::LeafId{1}, 1000.0);
   pred.add(net::LeafId{0}, net::UplinkIndex{1}, net::LeafId{1}, 1000.0);
-  Detector det{pred, 0.01};
-  const DetectionResult res = det.evaluate(record_with(2, 2, {995.0, 1005.0}));
+  const DetectionResult res = evaluate_record(pred, 0.01, record_with(2, 2, {995.0, 1005.0}));
   EXPECT_FALSE(res.faulty());
   EXPECT_NEAR(res.max_rel_dev, 0.005, 1e-12);
 }
@@ -238,8 +240,7 @@ TEST(Detector, AlertBeyondThreshold) {
   PortLoadMap pred{2, 2};
   pred.add(net::LeafId{0}, net::UplinkIndex{0}, net::LeafId{1}, 1000.0);
   pred.add(net::LeafId{0}, net::UplinkIndex{1}, net::LeafId{1}, 1000.0);
-  Detector det{pred, 0.01};
-  const DetectionResult res = det.evaluate(record_with(2, 2, {960.0, 1000.0}));
+  const DetectionResult res = evaluate_record(pred, 0.01, record_with(2, 2, {960.0, 1000.0}));
   ASSERT_EQ(res.alerts.size(), 1u);
   EXPECT_EQ(res.alerts[0].uplink, net::UplinkIndex{0});
   EXPECT_NEAR(res.alerts[0].rel_dev, 0.04, 1e-12);
@@ -249,15 +250,13 @@ TEST(Detector, AlertBeyondThreshold) {
 TEST(Detector, SurplusTrafficAlsoAlerts) {
   PortLoadMap pred{1, 1};
   pred.add(net::LeafId{0}, net::UplinkIndex{0}, net::LeafId{0}, 1000.0);
-  Detector det{pred, 0.01};
-  EXPECT_TRUE(det.evaluate(record_with(1, 1, {1100.0})).faulty());
+  EXPECT_TRUE(evaluate_record(pred, 0.01, record_with(1, 1, {1100.0})).faulty());
 }
 
 TEST(Detector, TrafficOnSilentPortIsInfinitelyDeviant) {
   PortLoadMap pred{2, 2};
   pred.add(net::LeafId{0}, net::UplinkIndex{1}, net::LeafId{1}, 1000.0);  // port 0 predicted silent
-  Detector det{pred, 0.01};
-  const DetectionResult res = det.evaluate(record_with(2, 2, {50.0, 1000.0}));
+  const DetectionResult res = evaluate_record(pred, 0.01, record_with(2, 2, {50.0, 1000.0}));
   ASSERT_EQ(res.alerts.size(), 1u);
   EXPECT_TRUE(std::isinf(res.alerts[0].rel_dev));
 }
@@ -296,6 +295,54 @@ TEST(Localize, SurplusOnlyIsUnknown) {
 }
 
 // ---------------------------------------------------------------------------
+// Culprit rule: localization → suspect links
+// ---------------------------------------------------------------------------
+
+PortAlert shortfall_alert(Localization::Verdict verdict, std::vector<net::LeafId> senders = {}) {
+  PortAlert a;
+  a.uplink = net::UplinkIndex{3};
+  a.observed = 900.0;
+  a.predicted = 1000.0;
+  a.rel_dev = 0.1;
+  a.localization.verdict = verdict;
+  a.localization.suspect_senders = std::move(senders);
+  return a;
+}
+
+std::vector<net::LinkId> suspects_of(net::LeafId leaf, const PortAlert& alert) {
+  std::vector<net::LinkId> links;
+  for_each_suspect_link(leaf, alert, [&links](net::LinkId link) { links.push_back(link); });
+  return links;
+}
+
+TEST(SuspectLinks, LocalOrUnknownShortfallBlamesItsOwnLink) {
+  const net::LeafId leaf{5};
+  const std::vector<net::LinkId> own{net::LinkId::of(leaf, net::UplinkIndex{3})};
+  EXPECT_EQ(suspects_of(leaf, shortfall_alert(Localization::Verdict::kLocalLink)), own);
+  EXPECT_EQ(suspects_of(leaf, shortfall_alert(Localization::Verdict::kUnknown)), own);
+}
+
+TEST(SuspectLinks, RemoteShortfallBlamesEachSendersLinkOnThatUplink) {
+  const PortAlert alert =
+      shortfall_alert(Localization::Verdict::kRemoteLinks, {net::LeafId{1}, net::LeafId{7}});
+  const std::vector<net::LinkId> senders{net::LinkId::of(net::LeafId{1}, net::UplinkIndex{3}),
+                                         net::LinkId::of(net::LeafId{7}, net::UplinkIndex{3})};
+  EXPECT_EQ(suspects_of(net::LeafId{5}, alert), senders);
+}
+
+TEST(SuspectLinks, SurplusBlamesNothing) {
+  for (const Localization::Verdict v :
+       {Localization::Verdict::kLocalLink, Localization::Verdict::kRemoteLinks,
+        Localization::Verdict::kUnknown}) {
+    PortAlert alert = shortfall_alert(v, {net::LeafId{1}});
+    alert.observed = 1100.0;
+    EXPECT_TRUE(suspects_of(net::LeafId{5}, alert).empty());
+    alert.observed = alert.predicted;  // no shortfall either
+    EXPECT_TRUE(suspects_of(net::LeafId{5}, alert).empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // LearnedModel
 // ---------------------------------------------------------------------------
 
@@ -308,7 +355,7 @@ IterationRecord uniform_record(std::uint32_t uplinks, double bytes, std::uint32_
 }
 
 TEST(LearnedModel, LearnsBaselineThenAccepts) {
-  LearnedModel m{4, {.learn_iterations = 3, .threshold = 0.01}};
+  LearnedModel m{4, {.learn_iterations = 3}, 0.01};
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(m.observe(uniform_record(4, 1000.0)).kind,
               LearnedModel::Outcome::Kind::kLearning);
@@ -319,7 +366,7 @@ TEST(LearnedModel, LearnsBaselineThenAccepts) {
 }
 
 TEST(LearnedModel, AlertsOnNewFaultSignature) {
-  LearnedModel m{4, {.learn_iterations = 2, .threshold = 0.01}};
+  LearnedModel m{4, {.learn_iterations = 2}, 0.01};
   m.observe(uniform_record(4, 1000.0));
   m.observe(uniform_record(4, 1000.0));
   IterationRecord faulty = uniform_record(4, 1010.0);  // others pick up retx
@@ -332,7 +379,7 @@ TEST(LearnedModel, AlertsOnNewFaultSignature) {
 TEST(LearnedModel, RebaselinesWhenTransientFaultHeals) {
   // Fig. 3: learn under a fault (port 1 suppressed), then the fault heals:
   // port 1 rises and dispersion shrinks → re-baseline, not alert.
-  LearnedModel m{4, {.learn_iterations = 2, .threshold = 0.01}};
+  LearnedModel m{4, {.learn_iterations = 2}, 0.01};
   IterationRecord poisoned = uniform_record(4, 1020.0);
   poisoned.bytes[1] = 900.0;
   m.observe(poisoned);
@@ -359,7 +406,7 @@ TEST(LearnedModel, DispersionIgnoresDeadPorts) {
 }
 
 TEST(LearnedModel, AlertsCarryLocalizationFromLearnedPerSenderBaseline) {
-  LearnedModel m{2, {.learn_iterations = 2, .threshold = 0.01}};
+  LearnedModel m{2, {.learn_iterations = 2}, 0.01};
   // Two senders (leaves 0 and 1) contribute 600/400 to each port.
   IterationRecord base;
   base.bytes = {1000.0, 1000.0};
@@ -391,8 +438,31 @@ TEST(LearnedModel, AlertsCarryLocalizationFromLearnedPerSenderBaseline) {
   EXPECT_EQ(out2.localizations[0].verdict, Localization::Verdict::kLocalLink);
 }
 
+TEST(FlowPulseSystem, LearnedModelJudgesAtTheSystemThreshold) {
+  SystemConfig cfg;
+  cfg.model = ModelKind::kLearned;
+  cfg.threshold = 0.05;
+  cfg.learned.learn_iterations = 2;
+  FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
+  system.ingest(uniform_record(4, 1000.0, 0));
+  system.ingest(uniform_record(4, 1000.0, 1));
+  // A 2% shortfall on one port is inside the 5% threshold...
+  IterationRecord shortfall = uniform_record(4, 1000.0, 2);
+  shortfall.bytes[2] = shortfall.by_src[2][0] = 980.0;
+  system.ingest(shortfall);
+  // ...and a 6% one is beyond it.
+  shortfall.iteration = net::IterIndex{3};
+  shortfall.bytes[2] = shortfall.by_src[2][0] = 940.0;
+  system.ingest(shortfall);
+  const std::vector<FlowPulseSystem::LearnedOutcome>& outcomes = system.learned_outcomes();
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_EQ(outcomes[2].outcome.kind, LearnedModel::Outcome::Kind::kOk);
+  EXPECT_NEAR(outcomes[2].outcome.max_rel_dev, 0.02, 1e-12);
+  EXPECT_EQ(outcomes[3].outcome.kind, LearnedModel::Outcome::Kind::kAlert);
+}
+
 TEST(LearnedModel, NewFaultAfterRebaselineStillAlerts) {
-  LearnedModel m{2, {.learn_iterations = 1, .threshold = 0.01}};
+  LearnedModel m{2, {.learn_iterations = 1}, 0.01};
   IterationRecord poisoned = uniform_record(2, 1000.0);
   poisoned.bytes[0] = 800.0;
   m.observe(poisoned);                        // baseline (fault present)

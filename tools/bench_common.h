@@ -6,12 +6,12 @@
 // process exit codes are fine here).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "daemon/flags.h"
 #include "daemon/verdict.h"
 
 namespace fptool {
@@ -27,13 +27,16 @@ struct Expectations {
   std::uint32_t expect_iter = 0;
 };
 
-/// Parse "LEAF:UPLINK" (e.g. --expect-link=12:5).
+/// Parse "LEAF:UPLINK" (e.g. --expect-link=12:5); each part must be a
+/// whole number that fits 32 bits.
 inline bool parse_link(const std::string& s, Expectations* e) {
   const std::size_t colon = s.find(':');
   if (colon == std::string::npos) return false;
-  e->expect_leaf = static_cast<std::uint32_t>(std::strtoul(s.c_str(), nullptr, 10));
-  e->expect_uplink =
-      static_cast<std::uint32_t>(std::strtoul(s.c_str() + colon + 1, nullptr, 10));
+  const std::string_view text{s};
+  if (!daemon::parse_number(text.substr(0, colon), &e->expect_leaf) ||
+      !daemon::parse_number(text.substr(colon + 1), &e->expect_uplink)) {
+    return false;
+  }
   e->have_link = true;
   return true;
 }

@@ -24,11 +24,15 @@
 #include "bench_common.h"
 #include "daemon/client.h"
 #include "daemon/engine.h"
+#include "daemon/flags.h"
 #include "daemon/stream_file.h"
 
 using namespace flowpulse;
 
 namespace {
+
+using daemon::parse_flag;
+using daemon::parse_num;
 
 struct BenchOptions {
   std::string host = "127.0.0.1";
@@ -49,23 +53,6 @@ struct BenchOptions {
   bool help = false;
   bool bad = false;
 };
-
-bool parse_flag(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
-template <typename T>
-bool parse_num(const char* arg, const char* name, T* out) {
-  std::string s;
-  if (!parse_flag(arg, name, &s)) return false;
-  *out = static_cast<T>(std::strtod(s.c_str(), nullptr));
-  return true;
-}
 
 BenchOptions parse(int argc, char** argv) {
   BenchOptions o;
@@ -101,7 +88,8 @@ BenchOptions parse(int argc, char** argv) {
     } else if (parse_num(a, "--expect-iter", &o.expect.expect_iter)) {
       o.expect.have_iter = true;
     } else {
-      std::fprintf(stderr, "flowpulse-bench: unknown flag '%s' (try --help)\n", a);
+      std::fprintf(stderr, "flowpulse-bench: unknown flag or bad value '%s' (try --help)\n",
+                   a);
       o.bad = true;
     }
   }

@@ -19,11 +19,14 @@
 #include "bench_common.h"
 #include "daemon/client.h"
 #include "daemon/engine.h"
+#include "daemon/flags.h"
 #include "daemon/stream_file.h"
 
 using namespace flowpulse;
 
 namespace {
+
+using daemon::parse_flag;
 
 struct MergeOptions {
   std::string host = "127.0.0.1";
@@ -34,15 +37,6 @@ struct MergeOptions {
   bool help = false;
   bool bad = false;
 };
-
-bool parse_flag(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
 
 MergeOptions parse(int argc, char** argv) {
   MergeOptions o;
@@ -59,7 +53,13 @@ MergeOptions parse(int argc, char** argv) {
       // parsed
     } else if (parse_flag(a, "--ports", &s)) {
       for (const std::string& p : fptool::split_csv(s)) {
-        o.ports.push_back(static_cast<std::uint16_t>(std::strtoul(p.c_str(), nullptr, 10)));
+        std::uint16_t port = 0;
+        if (!daemon::parse_number(p, &port)) {
+          std::fprintf(stderr, "flowpulse-merge: bad port '%s' in --ports\n", p.c_str());
+          o.bad = true;
+          continue;
+        }
+        o.ports.push_back(port);
       }
     } else if (parse_flag(a, "--port-files", &s)) {
       for (const std::string& f : fptool::split_csv(s)) {
@@ -76,11 +76,11 @@ MergeOptions parse(int argc, char** argv) {
         std::fprintf(stderr, "flowpulse-merge: --expect-link wants LEAF:UPLINK\n");
         o.bad = true;
       }
-    } else if (parse_flag(a, "--expect-iter", &s)) {
-      o.expect.expect_iter = static_cast<std::uint32_t>(std::strtoul(s.c_str(), nullptr, 10));
+    } else if (daemon::parse_num(a, "--expect-iter", &o.expect.expect_iter)) {
       o.expect.have_iter = true;
     } else {
-      std::fprintf(stderr, "flowpulse-merge: unknown flag '%s' (try --help)\n", a);
+      std::fprintf(stderr, "flowpulse-merge: unknown flag or bad value '%s' (try --help)\n",
+                   a);
       o.bad = true;
     }
   }

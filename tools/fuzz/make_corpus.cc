@@ -146,7 +146,7 @@ int run(const std::filesystem::path& root) {
   write_seed(codec_dir, "back_to_back", concat({hello, predict, counters, quit}));
   // Truncation at every byte of a HELLO frame (the PR 7 hardening sweep).
   for (std::size_t cut = 0; cut < hello.size(); ++cut) {
-    char name[32];
+    char name[40];
     std::snprintf(name, sizeof(name), "hello_trunc_%02zu", cut);
     write_seed(codec_dir, name, Bytes{hello.begin(), hello.begin() + cut});
   }
