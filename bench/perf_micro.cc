@@ -323,13 +323,11 @@ void BM_MonitorRecord(benchmark::State& state) {
 BENCHMARK(BM_MonitorRecord);
 
 // --------------------------------------------------------------------------
-// Observability. BM_TraceOffOverhead runs in every build: in the default
-// configuration the FP_TRACE call sites inside the fabric are preprocessed
-// away, so its numbers must match BM_FabricPacketDelivery-style runs bit
-// for bit (the trace_zero_cost_symbols test asserts the stronger property
-// that the hot-path libraries reference no obs symbols at all). The
-// FP_TRACE_ENABLED benches price the enabled-but-recording path and the
-// offline exporters.
+// Observability. Every build compiles the FP_TRACE call sites, so
+// BM_TraceOffOverhead prices them with no level set: one pointer test per
+// call site. BM_TracedIteration runs the same scenario with the recorder
+// live; the difference between the two is the cost of recording. The
+// remaining benches price one emit and the offline exporters.
 exp::ScenarioConfig trace_bench_config() {
   // A faulted iteration, so a live recorder has real drop/RTO events to
   // capture — identical simulation in the off and on benches.
@@ -350,19 +348,17 @@ exp::ScenarioConfig trace_bench_config() {
 }
 
 void BM_TraceOffOverhead(benchmark::State& state) {
-  // One traced-in-principle iteration with tracing not runtime-enabled —
-  // the exact cost instrumented builds pay when the recorder is off.
+  // One instrumented iteration with no runtime level set: the cost every
+  // untraced run pays for the FP_TRACE call sites.
   for (auto _ : state) {
     exp::Scenario s{trace_bench_config()};
     const exp::ScenarioResult r = s.run();
     benchmark::DoNotOptimize(r.events);
     state.counters["events"] = static_cast<double>(r.events);
   }
-  state.SetLabel(FP_TRACE_ENABLED ? "trace compiled in (level off)" : "trace compiled out");
 }
 BENCHMARK(BM_TraceOffOverhead)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-#if FP_TRACE_ENABLED
 void BM_TraceEmit(benchmark::State& state) {
   // The hot-path cost when recording: one level check + a bounded struct
   // copy into a preallocated ring slot.
@@ -442,7 +438,6 @@ void BM_TraceMetricsSummarize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TraceMetricsSummarize)->Arg(1 << 12);
-#endif  // FP_TRACE_ENABLED
 
 void BM_DetectorEvaluate(benchmark::State& state) {
   // The per-iteration cost: compare 16 ports against prediction.

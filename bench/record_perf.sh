@@ -38,7 +38,7 @@ GIT_SHA="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
 GIT_DIRTY=0
 git -C "$ROOT" diff --quiet HEAD 2>/dev/null || GIT_DIRTY=1
 
-cmake --build "$BUILD" --target perf_micro -j >/dev/null
+cmake --build "$BUILD" --target perf_micro -j"$(nproc)" >/dev/null
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT

@@ -9,8 +9,11 @@
 // Run with --help for all flags.
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "daemon/flags.h"
 #include "daemon/stream_file.h"
@@ -78,6 +81,22 @@ CliOptions parse(int argc, char** argv) {
   return o;
 }
 
+// Input the scenario cannot run is refused like a bad flag.
+[[noreturn]] void refuse(const std::string& why) {
+  std::cerr << why << " (try --help)\n";
+  std::exit(2);
+}
+
+// The value `text` names among the spellings `flag` accepts.
+template <typename T>
+T choose(const char* flag, const std::string& text,
+         std::initializer_list<std::pair<std::string_view, T>> choices) {
+  for (const auto& [name, value] : choices) {
+    if (text == name) return value;
+  }
+  refuse(std::string{"unknown value for "} + flag + ": " + text);
+}
+
 void usage() {
   std::cout <<
       R"(flowpulse_cli — run a FlowPulse fault-detection scenario
@@ -111,6 +130,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  using collective::CollectiveKind;
+  using FaultKind = net::FaultSpec::Kind;
   exp::ScenarioConfig cfg;
   cfg.fabric.shape = net::TopologyInfo{o.leaves, o.spines, o.hosts_per_leaf, o.parallel};
   cfg.collective_bytes = core::Bytes{o.bytes};
@@ -118,54 +139,57 @@ int main(int argc, char** argv) {
   cfg.max_jitter = sim::Time::picoseconds(static_cast<std::int64_t>(o.jitter_us * 1e6));
   cfg.flowpulse.threshold = o.threshold;
   cfg.seed = o.seed;
+  cfg.collective = choose<CollectiveKind>("--collective", o.collective,
+                                          {{"ring", CollectiveKind::kRingReduceScatter},
+                                           {"allreduce", CollectiveKind::kRingAllReduce},
+                                           {"allgather", CollectiveKind::kRingAllGather},
+                                           {"alltoall", CollectiveKind::kAllToAll},
+                                           {"hier", CollectiveKind::kHierarchicalRing}});
+  cfg.flowpulse.model = choose<fp::ModelKind>("--model", o.model,
+                                              {{"analytical", fp::ModelKind::kAnalytical},
+                                               {"simulation", fp::ModelKind::kSimulation},
+                                               {"learned", fp::ModelKind::kLearned}});
+  cfg.fidelity.mode = choose<fp::FidelityMode>("--fidelity", o.fidelity,
+                                               {{"packet", fp::FidelityMode::kPacket},
+                                                {"hybrid", fp::FidelityMode::kHybrid},
+                                                {"flow", fp::FidelityMode::kFlow}});
+  cfg.flowpulse.detector = choose<fp::DetectorKind>(
+      "--detector", o.detector,
+      {{"threshold", fp::DetectorKind::kThreshold}, {"streaming", fp::DetectorKind::kStreaming}});
+  cfg.fabric.spray = choose<net::SprayPolicy>("--spray", o.spray,
+                                              {{"adaptive", net::SprayPolicy::kAdaptive},
+                                               {"random", net::SprayPolicy::kRandom},
+                                               {"ecmp", net::SprayPolicy::kEcmp},
+                                               {"flowlet", net::SprayPolicy::kFlowlet}});
+  const FaultKind fault_kind = choose<FaultKind>("--fault-kind", o.fault_kind,
+                                                 {{"drop", FaultKind::kRandomDrop},
+                                                  {"blackhole", FaultKind::kBlackHole},
+                                                  {"gilbert", FaultKind::kGilbertElliott}});
 
-  if (o.collective == "allreduce") {
-    cfg.collective = collective::CollectiveKind::kRingAllReduce;
-  } else if (o.collective == "allgather") {
-    cfg.collective = collective::CollectiveKind::kRingAllGather;
-  } else if (o.collective == "alltoall") {
-    cfg.collective = collective::CollectiveKind::kAllToAll;
-  } else if (o.collective == "hier") {
-    cfg.collective = collective::CollectiveKind::kHierarchicalRing;
-  } else {
-    cfg.collective = collective::CollectiveKind::kRingReduceScatter;
+  const net::TopologyInfo& shape = cfg.fabric.shape;
+  if (shape.leaves == 0 || shape.spines == 0 || shape.hosts_per_leaf == 0 ||
+      shape.parallel == 0) {
+    refuse("--leaves, --spines, --hosts-per-leaf and --parallel must be at least 1");
   }
-
-  if (o.model == "simulation") {
-    cfg.flowpulse.model = fp::ModelKind::kSimulation;
-  } else if (o.model == "learned") {
-    cfg.flowpulse.model = fp::ModelKind::kLearned;
+  if (o.fault_leaf >= shape.leaves || o.fault_spine >= shape.uplinks_per_leaf()) {
+    refuse("--fault-leaf must be below --leaves, and --fault-spine below --spines x --parallel");
   }
-
-  if (o.fidelity == "hybrid") {
-    cfg.fidelity.mode = fp::FidelityMode::kHybrid;
-  } else if (o.fidelity == "flow") {
-    cfg.fidelity.mode = fp::FidelityMode::kFlow;
-  }
-  if (o.detector == "streaming") {
-    cfg.flowpulse.detector = fp::DetectorKind::kStreaming;
-  }
-
-  if (o.spray == "random") {
-    cfg.fabric.spray = net::SprayPolicy::kRandom;
-  } else if (o.spray == "ecmp") {
-    cfg.fabric.spray = net::SprayPolicy::kEcmp;
-  } else if (o.spray == "flowlet") {
-    cfg.fabric.spray = net::SprayPolicy::kFlowlet;
+  if (cfg.collective == CollectiveKind::kAllToAll && shape.num_hosts() < 2) {
+    refuse("--collective=alltoall needs at least 2 hosts");
   }
 
   for (std::uint32_t i = 0; i < o.preexisting; ++i) {
     cfg.preexisting.emplace_back(net::LeafId{(3 + 7 * i) % o.leaves},
                                  net::UplinkIndex{(1 + 3 * i) % (o.spines * o.parallel)});
   }
-  if (o.drop > 0.0 || o.fault_kind == "blackhole") {
+  if (o.drop > 0.0 || fault_kind == FaultKind::kBlackHole) {
     exp::NewFault f;
     f.leaf = net::LeafId{o.fault_leaf};
     f.uplink = net::UplinkIndex{o.fault_spine};
     f.where = exp::NewFault::Where::kBoth;
-    if (o.fault_kind == "blackhole") {
+    if (fault_kind == FaultKind::kBlackHole) {
       f.spec = net::FaultSpec::black_hole();
-    } else if (o.fault_kind == "gilbert") {
+    } else if (fault_kind == FaultKind::kGilbertElliott) {
       f.spec = net::FaultSpec::gilbert_elliott(o.drop, 20.0);
     } else {
       f.spec = net::FaultSpec::random_drop(o.drop);

@@ -10,10 +10,10 @@
 // exercises the lossless fabric's PFC machinery (ring traffic never
 // queues enough to pause).
 //
-// Tracing is compile-time gated. Configure with -DFLOWPULSE_TRACE=ON to
-// get the full story; in a default build this example prints how to
-// enable it and exits — the instrumentation genuinely does not exist in
-// the binary (see the trace_zero_cost_symbols test).
+// Tracing is decided at run time: this scenario sets its level to events.
+// A run that sets no level (and no FLOWPULSE_TRACE environment variable)
+// records nothing, and each instrumented call site costs it one pointer
+// test.
 //
 //   $ ./trace_detection [out.json]
 #include <iostream>
@@ -28,14 +28,6 @@
 using namespace flowpulse;
 
 int main(int argc, char** argv) {
-#if !FP_TRACE_ENABLED
-  (void)argc;
-  (void)argv;
-  std::cout << "trace_detection: this build has tracing compiled out.\n"
-               "Reconfigure with -DFLOWPULSE_TRACE=ON to record flight-recorder\n"
-               "events (the default build keeps hot paths instrumentation-free).\n";
-  return 0;
-#else
   const std::string out_path = argc > 1 ? argv[1] : "trace_detection.json";
 
   std::cout << "FlowPulse traced run: 8x4 fat tree, AllToAll, 8 MB/iter\n"
@@ -110,5 +102,4 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
-#endif
 }

@@ -7,25 +7,20 @@
 // layering rule enforces this). The recorder (FlightRecorder), dump/config
 // types, and env plumbing stay in obs/trace.h.
 //
-// Everything is header-only and compile-time gated: in the default build
-// FP_TRACE — arguments included — vanishes at preprocessing time, so
-// disabled call sites cost nothing and pull in no symbols (asserted by
-// the trace_zero_cost_symbols test).
+// Everything is header-only. Every build compiles the FP_TRACE call sites;
+// whether anything is recorded is decided at run time by the sink a
+// simulator carries and that sink's level. Hot-path libraries reach the
+// recorder only through TraceSink, so they reference no obs symbols
+// (asserted by the trace_zero_cost_symbols test).
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/time.h"
 
-#if defined(FLOWPULSE_TRACE) && FLOWPULSE_TRACE
-#define FP_TRACE_ENABLED 1
-#else
-#define FP_TRACE_ENABLED 0
-#endif
-
 namespace flowpulse::core {
 
-/// Runtime verbosity. kOff keeps even a trace-enabled build silent (the
+/// Runtime verbosity. kOff records nothing (with no sink installed the
 /// emit path is one pointer test); kEvents records the failure-relevant
 /// event kinds; kVerbose adds per-iteration and run-lifecycle markers.
 enum class TraceLevel : std::uint8_t {
@@ -148,12 +143,10 @@ class TraceSink {
 // FP_TRACE(sim, kind, entity, a, b, value, dval, detail)
 //
 // `sim` is a sim::Simulator (or anything with trace()/now()); `kind` is a
-// bare EventKind enumerator name. In the default build the macro —
-// arguments included — vanishes at preprocessing time, so disabled call
-// sites cost nothing and pull in no symbols. In a trace-enabled build
-// the cost is one pointer test when no sink is installed, plus a level
-// check when one is.
-#if FP_TRACE_ENABLED
+// bare EventKind enumerator name. The cost is one pointer test when no
+// sink is installed, plus a level check when one is. The remaining
+// arguments are evaluated only when the sink records `kind`, so they must
+// be free of side effects (fplint variant-divergence).
 #define FP_TRACE(sim_, kind_, entity_, a_, b_, value_, dval_, detail_)              \
   do {                                                                              \
     ::flowpulse::core::TraceSink* fp_trace_sink_ = (sim_).trace();                  \
@@ -163,6 +156,3 @@ class TraceSink {
                            (entity_), (a_), (b_), (value_), (dval_), (detail_));    \
     }                                                                               \
   } while (0)
-#else
-#define FP_TRACE(...) ((void)0)
-#endif

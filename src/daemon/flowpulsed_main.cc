@@ -105,6 +105,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "flowpulsed: --detector must be streaming|threshold\n");
     return 2;
   }
+  if (o.topo.leaves == 0 || o.topo.spines == 0 || o.topo.hosts_per_leaf == 0 ||
+      o.topo.parallel == 0) {
+    std::fprintf(stderr,
+                 "flowpulsed: --leaves, --spines, --hosts-per-leaf and --parallel must be at "
+                 "least 1\n");
+    return 2;
+  }
+  if (o.server.max_connections < 1) {
+    std::fprintf(stderr, "flowpulsed: --max-connections must be at least 1\n");
+    return 2;
+  }
 
   daemon::EngineConfig engine_config;
   engine_config.topo = o.topo;

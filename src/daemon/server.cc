@@ -18,6 +18,9 @@ namespace flowpulse::daemon {
 
 namespace {
 
+// Pending connections the kernel queues before accept().
+constexpr int kListenBacklog = 128;
+
 bool set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -71,7 +74,7 @@ bool Server::open() {
     return false;
   }
   bound_port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, config_.backlog) != 0 || !set_nonblocking(listen_fd_)) {
+  if (::listen(listen_fd_, kListenBacklog) != 0 || !set_nonblocking(listen_fd_)) {
     log_errno("listen");
     return false;
   }

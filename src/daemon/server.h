@@ -41,7 +41,6 @@ struct ServerConfig {
   /// If non-empty, the actual bound port is written here after listen() —
   /// how scripts using --port=0 discover the daemon.
   std::string port_file;
-  int backlog = 128;
   int max_connections = 1024;
 };
 

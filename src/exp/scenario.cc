@@ -78,7 +78,6 @@ Scenario::~Scenario() = default;
 void Scenario::build() {
   config_.fabric.seed = config_.seed;
   sim_ = std::make_unique<sim::Simulator>(config_.seed);
-#if FP_TRACE_ENABLED
   // Tracing is armed before any component exists so even wiring-time and
   // first-iteration events land in the ring. An explicit config level wins;
   // kOff defers to the FLOWPULSE_TRACE environment variable.
@@ -90,7 +89,6 @@ void Scenario::build() {
     recorder_->set_level(trace_level);
     sim_->set_trace(recorder_.get());
   }
-#endif
   // Sharded event lanes. Only scenarios whose every source of randomness
   // is lane-local (or never consulted) can shard without diverging from
   // the serial engine: probabilistic faults draw from the fabric-wide
@@ -352,9 +350,13 @@ void Scenario::run_hybrid() {
   fidelity_stats_.enabled = true;
   fidelity_stats_.mode = config_.fidelity.mode;
   const bool flow_only = config_.fidelity.mode == fp::FidelityMode::kFlow;
-  const std::uint32_t warmup =
-      flow_only ? 0 : std::max<std::uint32_t>(1, config_.fidelity.warmup_iterations);
   const net::TopologyInfo& info = config_.fabric.shape;
+
+  // The first iteration always runs at packet fidelity in kHybrid: it
+  // primes the iteration-duration estimate the fast-forward clock uses.
+  // kFlow estimates analytically instead.
+  constexpr std::uint32_t kWarmupIterations = 1;
+  const std::uint32_t warmup = flow_only ? 0 : kWarmupIterations;
 
   // Demote to packets when a configured silent fault is active within this
   // many iterations of the upcoming window (fault onset/offset edges are

@@ -76,10 +76,9 @@ struct ScenarioConfig {
   /// reports what actually ran).
   fp::FidelityPolicy fidelity{};
 
-  /// Flight-recorder tracing. Only honored in builds configured with
-  /// -DFLOWPULSE_TRACE=ON; trace.level == kOff additionally defers to the
-  /// FLOWPULSE_TRACE environment variable (obs::env_level()), so a traced
-  /// build can be flipped on per-run without code changes.
+  /// Flight-recorder tracing. trace.level == kOff defers to the
+  /// FLOWPULSE_TRACE environment variable (obs::env_level()), so any run
+  /// can be traced without code changes. With neither set, nothing records.
   obs::TraceConfig trace{};
 
   /// Sharded event lanes (conservative-PDES parallel simulation): the
@@ -126,8 +125,7 @@ struct ScenarioResult {
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
 
-  /// Flight-recorder output. Empty unless the build traces
-  /// (-DFLOWPULSE_TRACE=ON) and a runtime level was set.
+  /// Flight-recorder output. Empty unless a runtime level was set.
   std::vector<core::TraceEvent> trace_events;  ///< final retained window
   std::uint64_t trace_dropped = 0;             ///< ring overflow across the run
   std::vector<obs::TraceDump> trace_dumps;     ///< automatic on-alert snapshots

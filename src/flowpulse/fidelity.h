@@ -43,11 +43,6 @@ enum class FidelityMode : std::uint8_t {
 struct FidelityPolicy {
   FidelityMode mode = FidelityMode::kPacket;
 
-  /// Leading iterations always run at packet fidelity (kHybrid): they prime
-  /// the iteration-duration estimate the fast-forward clock uses. Clamped
-  /// to >= 1 in kHybrid; kFlow ignores it and estimates analytically.
-  std::uint32_t warmup_iterations = 1;
-
   /// Relative sigma of the deterministic multiplicative noise applied to
   /// synthesized per-port counters, so detector statistics stay honest
   /// (spray imbalance in packet runs is ~0.2% at paper scale). Set to 0

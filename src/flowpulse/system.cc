@@ -34,15 +34,13 @@ void FlowPulseSystem::set_prediction(PortLoadMap prediction) {
 }
 
 void FlowPulseSystem::on_finalized(const IterationRecord& record) {
-#if FP_TRACE_ENABLED
   if (const net::Switch* sw = monitors_[record.leaf.v()]->attached_switch()) {
     // Hoisted out of the macro argument list: FP_TRACE arguments must stay
-    // side-effect-free across build variants (fplint variant-divergence).
+    // side-effect-free (fplint variant-divergence).
     sim::Simulator& trace_sim = sw->simulator();
     FP_TRACE(trace_sim, kIteration, "", record.leaf.v(), 0, record.iteration.v(), 0.0,
              "finalized");
   }
-#endif
   if (config_.model == ModelKind::kLearned) {
     learned_outcomes_.push_back(LearnedOutcome{record.leaf, record.iteration,
                                                learned_[record.leaf.v()]->observe(record)});
@@ -68,8 +66,7 @@ void FlowPulseSystem::publish(DetectionResult result) {
 // One kDetectorFlag + one kLocalization event per alerted port. Separate
 // events on purpose: the flag is the raw deviation signal, the localization
 // is the verdict layered on top, and the timeline should show both.
-void FlowPulseSystem::trace_result([[maybe_unused]] const DetectionResult& r) {
-#if FP_TRACE_ENABLED
+void FlowPulseSystem::trace_result(const DetectionResult& r) {
   const net::Switch* sw = monitors_[r.leaf.v()]->attached_switch();
   if (sw == nullptr) return;  // tracing is simulator-bound
   constexpr auto verdict_name = [](Localization::Verdict v) {
@@ -90,7 +87,6 @@ void FlowPulseSystem::trace_result([[maybe_unused]] const DetectionResult& r) {
     FP_TRACE(sim, kLocalization, "", r.leaf.v(), a.uplink.v(), r.iteration.v(), a.rel_dev,
              verdict_name(a.localization.verdict));
   }
-#endif
 }
 
 void FlowPulseSystem::flush() {

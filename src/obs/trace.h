@@ -1,15 +1,14 @@
 #pragma once
 
-// Flight-recorder tracing (compile-time gated, runtime leveled).
+// Flight-recorder tracing (runtime leveled).
 //
-// Configure with -DFLOWPULSE_TRACE=ON (the audit leg of
-// tests/run_sanitized.sh builds with it) to compile typed, timestamped
-// trace events into every runtime layer: packet drops, PFC pause/resume,
-// RTO firings, detector flags, localization verdicts, and mitigation
-// actions. In the default build the FP_TRACE macro expands to nothing —
-// its arguments are discarded by the preprocessor, so hot paths reference
-// no obs symbols and carry zero cost (asserted by the
-// trace_zero_cost_symbols test).
+// Every build compiles typed, timestamped trace events into every runtime
+// layer: packet drops, PFC pause/resume, RTO firings, detector flags,
+// localization verdicts, mitigation actions and hybrid fidelity switches.
+// Whether anything is recorded is decided at run time: with no sink
+// installed, an FP_TRACE call site costs one pointer test. Hot-path
+// libraries reach the recorder only through core::TraceSink, so they
+// reference no obs symbols (asserted by the trace_zero_cost_symbols test).
 //
 // The instrumentation core — TraceLevel/EventKind taxonomy, TraceEvent,
 // the TraceSink interface, and the FP_TRACE macro itself — lives in
@@ -18,15 +17,15 @@
 // core::. This header adds what only the observability layer needs: the
 // flight recorder, dump/config types, and env plumbing.
 //
-// In a trace-enabled build, events flow into the sim::Simulator's
-// installed TraceSink. The stock sink is obs::FlightRecorder, a
-// bounded ring buffer per simulation: cheap enough to leave always on,
-// and when something goes wrong (a detector flag, a mitigation action, an
-// audit invariant failure) the last N events are the causal window that
-// explains it. exp::Scenario wires one up automatically when the runtime
-// level is set (ScenarioConfig.trace or the FLOWPULSE_TRACE env var) and
-// snapshots it on every flagged iteration. Exporters in obs/export.h
-// render snapshots as chrome://tracing JSON or a text timeline.
+// Events flow into the sim::Simulator's installed TraceSink. The stock
+// sink is obs::FlightRecorder, a bounded ring buffer per simulation: cheap
+// enough to leave always on, and when something goes wrong (a detector
+// flag, a mitigation action, an audit invariant failure) the last N events
+// are the causal window that explains it. exp::Scenario wires one up
+// automatically when the runtime level is set (ScenarioConfig.trace or the
+// FLOWPULSE_TRACE env var) and snapshots it on every flagged iteration.
+// Exporters in obs/export.h render snapshots as chrome://tracing JSON or a
+// text timeline.
 //
 // Everything in this header is header-only on purpose: instrumented
 // layers (net, transport, flowpulse, ctrl) gain no link dependency.
@@ -100,18 +99,18 @@ struct TraceDump {
   std::vector<core::TraceEvent> events;
 };
 
-/// Scenario-level tracing knobs (honored only in trace-enabled builds).
+/// Scenario-level tracing knobs.
 struct TraceConfig {
   /// kOff defers to the FLOWPULSE_TRACE environment variable (env_level()).
   core::TraceLevel level = core::TraceLevel::kOff;
   std::size_t capacity = FlightRecorder::kDefaultCapacity;
 };
 
-/// Runtime opt-in for trace-enabled builds: FLOWPULSE_TRACE=1|on|events →
-/// kEvents, 2|verbose → kVerbose, anything else → kOff.
+/// Runtime opt-in: FLOWPULSE_TRACE=1|on|events → kEvents, 2|verbose →
+/// kVerbose, anything else → kOff.
 [[nodiscard]] inline core::TraceLevel env_level() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup, before
-  // any worker thread exists; nothing in the process calls setenv
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read by every Scenario::build,
+  // trial workers included; nothing in the process calls setenv
   const char* s = std::getenv("FLOWPULSE_TRACE");
   if (s == nullptr) return core::TraceLevel::kOff;
   const std::string v{s};

@@ -172,13 +172,11 @@ class EventLane {
   void audit_quiesce_now() { audit_on_quiesce(); }
 #endif
 
-#if FP_TRACE_ENABLED
   /// Install (or clear, with nullptr) the flight-recorder sink that FP_TRACE
   /// call sites across all layers emit into. The sink must outlive every
-  /// subsequent run of this simulator. Trace-enabled builds only.
+  /// subsequent run of this simulator.
   void set_trace(core::TraceSink* sink) { trace_ = sink; }
   [[nodiscard]] core::TraceSink* trace() const { return trace_; }
-#endif
 
  private:
   struct LaneMessage {
@@ -202,9 +200,7 @@ class EventLane {
   EventQueue::Event audit_last_popped_{};
   bool audit_popped_any_ = false;
 #endif
-#if FP_TRACE_ENABLED
   core::TraceSink* trace_ = nullptr;
-#endif
   EventQueue queue_;
   Time now_ = Time::zero();
   Rng rng_;

@@ -47,13 +47,26 @@ wait_port_file() {  # path
   return 1
 }
 
-echo "== flag values that do not parse whole or fit are refused (exit 2) =="
+echo "== flag values that do not parse, fit, or make a runnable setup are refused (exit 2) =="
 # --port=0 keeps a daemon that wrongly accepted the value off the default
 # port; the timeout ends it.
-for bad in --port=70000 --leaves=abc --leaves=-1; do
+for bad in --port=70000 --leaves=abc --leaves=-1 --leaves=0 --spines=0 \
+           --hosts-per-leaf=0 --parallel=0 --max-connections=-1; do
   rc=0
   timeout 10 "$DAEMON" --port=0 "$bad" >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || { echo "daemon_smoke: flowpulsed $bad exited $rc, want 2" >&2; exit 1; }
+done
+# A scenario flowpulse_cli cannot run is refused the same way. Each case is
+# one or two flags after a small shape that keeps a wrongly accepted run
+# short.
+for bad in "--fault-leaf=9 --drop=0.1" "--fault-spine=5 --drop=0.1" --leaves=0 \
+           "--leaves=1 --collective=alltoall" --collective=x --model=x --spray=x \
+           --fidelity=x --detector=x --fault-kind=x; do
+  rc=0
+  # shellcheck disable=SC2086  # word-split $bad into its flags
+  timeout 60 "$CLI" --leaves=4 --spines=2 --iters=1 --bytes=65536 $bad >/dev/null 2>&1 ||
+    rc=$?
+  [ "$rc" -eq 2 ] || { echo "daemon_smoke: flowpulse_cli $bad exited $rc, want 2" >&2; exit 1; }
 done
 
 echo "== single daemon: replay + verdict + clean shutdown =="

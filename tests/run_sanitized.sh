@@ -14,13 +14,14 @@
 #          the event-lane tests with FLOWPULSE_LANES=8 + FLOWPULSE_JOBS=8
 #          so the cross-lane mailbox handoff and the LaneRunner round
 #          barrier race-check with every lane on its own thread.
-#   audit  FLOWPULSE_AUDIT=ON + FLOWPULSE_TRACE=ON in build-audit/: the
-#          runtime invariant auditor (byte conservation, event
-#          monotonicity, PFC liveness, exactly-once delivery, monitor
-#          reconciliation) checks every test's simulation from the inside,
-#          and the flight-recorder instrumentation is compiled in so the
-#          obs tests' end-to-end capture paths run and audit failures dump
-#          the recorded event window.
+#   audit  FLOWPULSE_AUDIT=ON in build-audit/: the runtime invariant
+#          auditor (byte conservation, event monotonicity, PFC liveness,
+#          exactly-once delivery, monitor reconciliation) checks every
+#          test's simulation from the inside; a failure in a traced run
+#          dumps the flight recorder's event window.
+#
+# Every mode compiles the flight-recorder call sites, as every build does,
+# so the trace tests run under each of them.
 #
 # A first argument that is not a known mode is passed to ctest (back-compat
 # with the old `tests/run_sanitized.sh -R <regex>` usage, which ran asan).
@@ -44,7 +45,7 @@ case "${mode}" in
     ;;
   audit)
     build_dir="${repo_root}/build-audit"
-    cmake_flags="-DFLOWPULSE_AUDIT=ON -DFLOWPULSE_TRACE=ON"
+    cmake_flags="-DFLOWPULSE_AUDIT=ON"
     ;;
 esac
 
@@ -56,7 +57,7 @@ TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 export ASAN_OPTIONS UBSAN_OPTIONS TSAN_OPTIONS
 
 cmake -B "${build_dir}" -S "${repo_root}" ${cmake_flags}
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j"$(nproc)"
 cd "${build_dir}"
 ctest --output-on-failure -j "$@"
 

@@ -1,6 +1,6 @@
 // Flight-recorder observability layer: JSON escaping, ring-buffer
-// semantics, exporters, the metrics registry, and — in trace-enabled
-// builds — end-to-end event capture from a detection scenario.
+// semantics, exporters, the metrics registry, and end-to-end event capture
+// from detection and hybrid-fidelity scenarios.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,20 +10,18 @@
 #include <string>
 #include <vector>
 
+#include "core/units.h"
+#include "exp/report.h"
+#include "exp/scenario.h"
+#include "golden_scenario.h"
 #include "json_check.h"
+#include "net/types.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/time.h"
-
-#if FP_TRACE_ENABLED
-#include "core/units.h"
-#include "exp/report.h"
-#include "exp/scenario.h"
-#include "net/types.h"
 #include "sim/simulator.h"
-#endif
+#include "sim/time.h"
 
 namespace flowpulse::obs {
 namespace {
@@ -313,17 +311,6 @@ TEST(TraceMetrics, ReplaysWindowIntoRegistry) {
 // The FP_TRACE macro itself
 // ---------------------------------------------------------------------------
 
-#if !FP_TRACE_ENABLED
-TEST(TraceMacro, CompiledOutArgumentsAreDiscarded) {
-  // In the default build FP_TRACE's argument tokens vanish at preprocessing
-  // time: identifiers that exist nowhere must not even be name-resolved.
-  // Compiling this test IS the assertion.
-  FP_TRACE(no_such_simulator, kNotAKind, totally, undefined, identifiers, in,
-           this, scope);
-  SUCCEED();
-}
-#else
-
 TEST(TraceMacro, EmitsThroughSimulatorIntoRecorder) {
   sim::Simulator sim{7};
   FlightRecorder rec{64};
@@ -457,7 +444,58 @@ TEST(TraceE2E, UntracedRunStaysEmpty) {
   EXPECT_TRUE(r.trace_dumps.empty());
   EXPECT_NE(exp::to_json(r).find("\"trace\":null"), std::string::npos);
 }
-#endif  // FP_TRACE_ENABLED
+
+TEST(TraceE2E, VerboseTracingOnlyObserves) {
+  // The recorder watches the golden scenario at its most detailed level;
+  // with the trace fields cleared, the report must hash to the untraced
+  // golden and the run must execute exactly as many events.
+  exp::ScenarioConfig cfg = testing::golden_scenario_config();
+  const std::uint64_t untraced_events = exp::Scenario{cfg}.run().events;
+  cfg.trace.level = TraceLevel::kVerbose;
+  exp::Scenario s{cfg};
+  exp::ScenarioResult r = s.run();
+  EXPECT_FALSE(r.trace_events.empty());
+  EXPECT_FALSE(r.trace_dumps.empty());
+  EXPECT_EQ(r.events, untraced_events);
+  r.trace_events.clear();
+  r.trace_dropped = 0;
+  r.trace_dumps.clear();
+  r.wall_seconds = 0.0;
+  const std::string json = exp::to_json(r) + exp::alerts_to_json(r.detections) +
+                           exp::deviations_to_csv(r) +
+                           exp::mitigation_to_json(r.mitigation_events, r.recovery);
+  EXPECT_EQ(testing::fnv1a64(json), 18106918244164645694ull);
+}
+
+TEST(TraceE2E, HybridFidelitySwitchesAreTraced) {
+  // A transient gray link in a hybrid run: the engine demotes to packets
+  // around the fault and promotes back once it has passed. Each switch the
+  // fidelity stats count is one kFidelity event in the trace.
+  exp::ScenarioConfig cfg = testing::golden_scenario_config();
+  cfg.mitigation.enabled = false;
+  cfg.iterations = 24;
+  cfg.new_faults.front().spec = net::FaultSpec::random_drop(
+      0.10, sim::Time::microseconds(300), sim::Time::microseconds(500));
+  cfg.fidelity.mode = fp::FidelityMode::kHybrid;
+  cfg.trace.level = TraceLevel::kEvents;
+  cfg.trace.capacity = 1 << 16;
+  exp::Scenario s{cfg};
+  const exp::ScenarioResult r = s.run();
+  ASSERT_TRUE(r.fidelity.enabled);
+  ASSERT_EQ(r.trace_dropped, 0u);
+  std::uint32_t demotions = 0;
+  std::uint32_t promotions = 0;
+  for (const TraceEvent& e : r.trace_events) {
+    if (e.kind != EventKind::kFidelity) continue;
+    const std::string detail = e.detail;
+    demotions += detail == "demote-to-packet" ? 1 : 0;
+    promotions += detail == "promote-to-flow" ? 1 : 0;
+  }
+  EXPECT_GE(r.fidelity.demotions, 1u);
+  EXPECT_GE(r.fidelity.promotions, 1u);
+  EXPECT_EQ(demotions, r.fidelity.demotions);
+  EXPECT_EQ(promotions, r.fidelity.promotions);
+}
 
 }  // namespace
 }  // namespace flowpulse::obs

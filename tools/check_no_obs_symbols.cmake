@@ -1,8 +1,8 @@
 # Script-mode check (cmake -P): fail if any of the given static libraries
 # references the flowpulse::obs namespace. Run by the trace_zero_cost_symbols
-# test against the hot-path libs in default (trace-off) builds, where the
-# FP_TRACE macro is required to discard its call sites at preprocessing time
-# — instrumentation must be free when it is off.
+# test against the hot-path libs in every build: they reach the flight
+# recorder only through core::TraceSink, the interface FP_TRACE emits into,
+# and never link the observability layer itself.
 #
 # Usage: cmake -DNM=/usr/bin/nm "-DLIBS=a.a;b.a;..." -P check_no_obs_symbols.cmake
 
@@ -31,7 +31,7 @@ endforeach()
 
 if(tainted)
   message(FATAL_ERROR
-    "obs symbols leaked into hot-path libraries in a trace-off build: ${tainted}\n"
-    "FP_TRACE call sites must compile to nothing without -DFLOWPULSE_TRACE=ON.")
+    "obs symbols leaked into hot-path libraries: ${tainted}\n"
+    "Hot-path code must reach the flight recorder only through core::TraceSink.")
 endif()
 message(STATUS "no obs symbols in ${LIBS}")

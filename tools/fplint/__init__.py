@@ -14,8 +14,8 @@ express (rules_scoped.py + engine.py):
   lane-capture        a lambda posted cross-lane must not capture by
                       reference or smuggle pointers to source-lane state
   variant-divergence  FP_AUDIT / FP_TRACE / assert argument expressions
-                      must be side-effect-free (they compile to
-                      ((void)0) in default builds)
+                      must be side-effect-free (they are not evaluated
+                      in every build or run)
   layering            the module DAG
                       core < sim < net < transport < collective <
                       flowpulse < {ctrl, baseline, obs} < exp < daemon

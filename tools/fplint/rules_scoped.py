@@ -3,7 +3,7 @@
   lane-capture        lambdas handed to another lane (or deferred) must
                       not capture by reference or smuggle pointers
   variant-divergence  FP_AUDIT / FP_TRACE / assert argument expressions
-                      must be side-effect-free across build variants
+                      must be side-effect-free across builds and runs
   layering            the module include DAG is enforced
   stale-waiver        (engine.py — needs the resolved finding set)
 
@@ -167,7 +167,7 @@ def variant_local_findings(records: List[MacroRecord]) -> List[Finding]:
             findings.append(
                 (line, "variant-divergence",
                  "argument of {}() mutates state ('{}'): the expression "
-                 "compiles to ((void)0) {}, so the builds would diverge — "
+                 "is not evaluated {}, so the runs would diverge — "
                  "hoist the side effect out of the macro".format(
                      rec.macro, op, _variant_knob(rec.macro))))
     return findings
@@ -201,8 +201,8 @@ def resolve_variant_calls(call_sites: List[Tuple[int, str, str]],
 
 
 def _variant_knob(macro: str) -> str:
-    """The build condition under which the macro's argument disappears."""
+    """The condition under which the macro's argument is not evaluated."""
     return {"assert": "when NDEBUG is defined",
             "FP_AUDIT": "when FLOWPULSE_AUDIT is off",
-            "FP_TRACE": "when FLOWPULSE_TRACE is off"}.get(
+            "FP_TRACE": "when no trace sink records its event kind"}.get(
                 macro, "in some build variants")
