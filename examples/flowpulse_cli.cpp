@@ -102,6 +102,7 @@ void usage() {
       R"(flowpulse_cli — run a FlowPulse fault-detection scenario
 
 topology:   --leaves=N --spines=N --hosts-per-leaf=N --parallel=N
+            --spray=adaptive|random|ecmp|flowlet
 workload:   --collective=ring|allreduce|allgather|alltoall|hier
             --bytes=N --iters=N --jitter-us=F
 detection:  --model=analytical|simulation|learned

@@ -161,9 +161,6 @@ class Scenario {
   /// kDynamic).
   [[nodiscard]] const fp::PortLoadMap* prediction() const { return flowpulse_->prediction(); }
 
-  /// The flight recorder feeding the run, nullptr when tracing is off.
-  [[nodiscard]] obs::FlightRecorder* recorder() { return recorder_.get(); }
-
  private:
   void build();
   [[nodiscard]] fp::PortLoadMap analytical_prediction() const;

@@ -17,15 +17,15 @@
 // core::. This header adds what only the observability layer needs: the
 // flight recorder, dump/config types, and env plumbing.
 //
-// Events flow into the sim::Simulator's installed TraceSink. The stock
-// sink is obs::FlightRecorder, a bounded ring buffer per simulation: cheap
-// enough to leave always on, and when something goes wrong (a detector
-// flag, a mitigation action, an audit invariant failure) the last N events
-// are the causal window that explains it. exp::Scenario wires one up
-// automatically when the runtime level is set (ScenarioConfig.trace or the
-// FLOWPULSE_TRACE env var) and snapshots it on every flagged iteration.
-// Exporters in obs/export.h render snapshots as chrome://tracing JSON or a
-// text timeline.
+// Events flow into the sim::Simulator's
+// installed TraceSink. The stock sink is obs::FlightRecorder, a
+// bounded ring buffer per simulation: cheap enough to leave always on,
+// and when something goes wrong (a detector flag, a mitigation action, an
+// audit invariant failure) the last N events are the causal window that
+// explains it. exp::Scenario wires one up automatically when the runtime
+// level is set (ScenarioConfig.trace or the FLOWPULSE_TRACE env var) and
+// snapshots it on every flagged iteration. Exporters in obs/export.h
+// render snapshots as chrome://tracing JSON or a text timeline.
 //
 // Everything in this header is header-only on purpose: instrumented
 // layers (net, transport, flowpulse, ctrl) gain no link dependency.
