@@ -4,6 +4,12 @@
 # trajectory. The "history" block of an existing BENCH_perf.json (e.g. the
 # recorded pre-optimization baseline) is carried over, never overwritten.
 #
+# Each benchmark runs 10 times, repetitions of different benchmarks
+# randomly interleaved, and is recorded as its repetition count
+# plus the median and quartiles of its real time and of its rate counter:
+# on a shared host one run can land in a slow or a fast phase, so a single
+# run per benchmark is not a measurement.
+#
 # Honesty guard: refuses to record from a non-optimized build (empty or
 # Debug CMAKE_BUILD_TYPE) — such numbers are meaningless for the trajectory
 # and have polluted it before. Set FLOWPULSE_ALLOW_DEBUG_PERF=1 to override;
@@ -45,23 +51,57 @@ trap 'rm -f "$TMP"' EXIT
 "$BUILD/bench/perf_micro" \
   --benchmark_filter='BM_EventQueueScheduleRun|BM_EventQueueHopPattern|BM_RingIterationSimulation|BM_LanedEvents|BM_TrialSweep|BM_FidelityModeIterations|BM_DaemonIngestCounters' \
   --benchmark_out="$TMP" --benchmark_out_format=json \
-  --benchmark_min_time=0.5
+  --benchmark_min_time=0.5 \
+  --benchmark_repetitions=10 --benchmark_enable_random_interleaving=true
 
 if command -v python3 >/dev/null 2>&1; then
   FP_BUILD_TYPE="${BUILD_TYPE:-}" FP_GIT_SHA="$GIT_SHA" FP_GIT_DIRTY="$GIT_DIRTY" \
   python3 - "$TMP" "$OUT" <<'PY'
-import json, os, sys
+import json, os, statistics, sys
 
 raw_path, out_path = sys.argv[1], sys.argv[2]
 with open(raw_path) as f:
     raw = json.load(f)
 
+
+def spread(values):
+    """Median and quartiles (linear interpolation) of one benchmark's runs."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+# One summary per benchmark, from its repetitions (aggregate rows skipped).
+runs = {}
+for row in raw.get("benchmarks", []):
+    if row.get("run_type") == "iteration":
+        runs.setdefault(row["run_name"], []).append(row)
+benchmarks = []
+for name, rows in sorted(runs.items(), key=lambda kv: (
+        kv[1][0]["family_index"], kv[1][0]["per_family_instance_index"])):
+    rates = [k for k in rows[0] if k.endswith("_per_second") or k.endswith("/s")]
+    rate = next((k for k in rates if k != "items_per_second"),
+                rates[0] if rates else None)
+    summary = {"name": name, "repetitions": len(rows),
+               "time_unit": rows[0]["time_unit"],
+               "real_time": spread([r["real_time"] for r in rows])}
+    if "label" in rows[0]:
+        summary["label"] = rows[0]["label"]
+    if rate is not None:
+        summary["rate"] = rate
+        summary[rate] = spread([r[rate] for r in rows])
+    benchmarks.append(summary)
+
 build_type = os.environ.get("FP_BUILD_TYPE", "")
 trusted = build_type in ("Release", "RelWithDebInfo", "MinSizeRel")
 doc = {
     "note": ("Machine-readable perf trajectory; refresh with bench/record_perf.sh. "
-             "'history' keeps earlier recordings (e.g. the pre-optimization seed "
-             "baseline) for before/after comparison."),
+             "Each benchmark holds its repetition count and the median and "
+             "quartiles (q1, q3) of real_time and of its rate counter over the "
+             "randomly interleaved repetitions. 'history' keeps earlier "
+             "recordings (e.g. the pre-optimization seed baseline) for "
+             "before/after comparison."),
     "suite": ("perf_micro: events/sec (hot path) + trials/sec (parallel trial "
               "engine) + iterations/sec per fidelity mode (hybrid engine) + "
               "counter-ingest/sec (flowpulsed engine, sockets excluded)"),
@@ -70,7 +110,7 @@ doc = {
     "git_sha": os.environ.get("FP_GIT_SHA", "unknown"),
     "git_dirty": os.environ.get("FP_GIT_DIRTY", "0") == "1",
     "context": raw.get("context", {}),
-    "benchmarks": raw.get("benchmarks", []),
+    "benchmarks": benchmarks,
     "history": {},
 }
 if not trusted:

@@ -12,8 +12,8 @@ namespace flowpulse::baseline {
 
 /// Counter-polling baseline (the telemetry pipeline the paper's §1/§3 says
 /// silent faults evade): periodically scrape every link's error counters
-/// and flag links whose counted drop rate over the window exceeds a
-/// threshold.
+/// and flag links whose counted drop rate over the window exceeds
+/// `kDropRateThreshold`.
 ///
 /// Two failure modes are modeled faithfully:
 ///  1. silent faults never move the error counters
@@ -23,11 +23,13 @@ namespace flowpulse::baseline {
 ///     centralized collection in a 100k-GPU fabric polls slowly.
 struct CounterScraperConfig {
   sim::Time period = sim::Time::microseconds(100);
-  double drop_rate_threshold = 0.001;  ///< counted drops / tx over the window
 };
 
 class CounterScraper {
  public:
+  /// Counted drops / tx over the window above which a link alarms.
+  static constexpr double kDropRateThreshold = 0.001;
+
   struct Alarm {
     sim::Time at;
     std::string link;
@@ -65,7 +67,7 @@ class CounterScraper {
       for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(info.uplinks_per_leaf())) {
         // Alarm names label the far end with the *spine*, not the uplink
         // index (they only coincide when parallel == 1).
-        // detlint: ok(raw-scalar-id): formatting-only local; the id-space
+        // fplint: ok(raw-scalar-id): formatting-only local; the id-space
         // crossing is the explicit spine_of(u).v() on the same line
         const std::uint32_t spine = info.spine_of(u).v();
         check(fabric_.uplink_counters(l, u),
@@ -84,7 +86,7 @@ class CounterScraper {
     last_dropped_[idx] = counters.telemetry_dropped_packets.v();
     if (tx == 0) return;
     const double rate = static_cast<double>(dropped) / static_cast<double>(tx);
-    if (rate > config_.drop_rate_threshold) {
+    if (rate > kDropRateThreshold) {
       alarms_.push_back(Alarm{sim_.now(), name, rate});
     }
   }

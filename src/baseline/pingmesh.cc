@@ -33,14 +33,14 @@ void PingmeshProber::round() {
       probe.msg_id = next_probe_id_++;
       probe.size_bytes = config_.probe_bytes;
       probe.kind = net::PacketKind::kProbe;
-      probe.priority = config_.priority;
+      probe.priority = kProbePriority;
 
       outstanding_.emplace(probe.msg_id, false);
       ++probes_sent_;
       fabric_.host(src).nic().enqueue(probe);
 
       const std::uint64_t id = probe.msg_id;
-      sim_.schedule_in(config_.timeout, [this, id] { on_probe_timeout(id); });
+      sim_.schedule_in(kProbeTimeout, [this, id] { on_probe_timeout(id); });
     }
   }
   sim_.schedule_in(config_.interval, [this] { round(); });

@@ -16,7 +16,8 @@ namespace flowpulse::baseline {
 
 /// Pingmesh-style active prober (the path-probing baseline, §3): every
 /// `interval`, each host sends small probe packets to `probes_per_round`
-/// random peers; a probe not arriving within `timeout` counts as lost.
+/// random peers; a probe not arriving within `kProbeTimeout` counts as
+/// lost.
 ///
 /// The paper's two criticisms are both directly measurable here:
 ///  1. Overhead — probes inject extra traffic exactly when the fabric is
@@ -28,13 +29,14 @@ namespace flowpulse::baseline {
 struct PingmeshConfig {
   sim::Time interval = sim::Time::microseconds(50);
   std::uint32_t probes_per_round = 4;   ///< destinations per host per round
-  sim::Time timeout = sim::Time::microseconds(50);
   core::Bytes probe_bytes{64};          ///< wire size of one probe
-  net::Priority priority = net::Priority::kBackground;
 };
 
 class PingmeshProber {
  public:
+  static constexpr sim::Time kProbeTimeout = sim::Time::microseconds(50);
+  static constexpr net::Priority kProbePriority = net::Priority::kBackground;
+
   PingmeshProber(sim::Simulator& simulator, net::FatTree& fabric,
                  transport::TransportLayer& transports, PingmeshConfig config);
 

@@ -138,8 +138,8 @@ class CollectiveRunner {
   std::vector<std::uint32_t> next_stage_;    // rank → next stage to launch
   std::vector<RankSends> rank_sends_;        // [rank]
   std::uint64_t total_recv_remaining_ = 0;
-  // detlint: ok(unordered): keyed emplace/find/erase only, never iterated
-  // (enforced by detlint's iteration rule); progress is driven by message
+  // fplint: ok(unordered): keyed emplace/find/erase only, never iterated
+  // (enforced by fplint's iteration rule); progress is driven by message
   // arrival order, so hash order cannot reach results. Hot per-message path.
   std::unordered_map<std::uint64_t, PendingMsg> pending_;
 

@@ -59,7 +59,7 @@ namespace detail {
 /// the strong-typed public API — a bare (uint64, double) overload at
 /// namespace scope let new code silently bypass the unit layer (enforced
 /// by the fplint raw-serialization-time rule and a negcompile snippet).
-// detlint: ok(raw-scalar-id): this IS the raw-scalar boundary — the unit
+// fplint: ok(raw-scalar-id): this IS the raw-scalar boundary — the unit
 // layer (core/units.h) is its only sanctioned caller
 [[nodiscard]] constexpr Time serialization_time(std::uint64_t bytes, double gbps) {
   // ps = bytes * 8 / (gbps * 1e9) * 1e12 = bytes * 8000 / gbps

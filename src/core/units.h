@@ -131,7 +131,7 @@ class GbitsPerSec {
 /// the raw core::detail::serialization_time math, and the only sanctioned
 /// way to reach it.
 [[nodiscard]] constexpr Time serialization_time(Bytes b, GbitsPerSec r) {
-  // detlint: ok(raw-serialization-time): the unit layer's single blessed
+  // fplint: ok(raw-serialization-time): the unit layer's single blessed
   // call into the raw-scalar detail math
   return detail::serialization_time(b.v(), r.v());
 }

@@ -28,7 +28,7 @@ class Client {
   Client& operator=(Client&& other) noexcept;
 
   /// Connect (blocking). False with *err filled on failure.
-  // detlint: ok(raw-scalar-id): TCP port of the daemon, not a fabric PortId
+  // fplint: ok(raw-scalar-id): TCP port of the daemon, not a fabric PortId
   [[nodiscard]] bool connect_to(const std::string& host, std::uint16_t tcp_port,
                                 std::string* err);
   void close();

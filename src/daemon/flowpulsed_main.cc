@@ -79,7 +79,7 @@ void usage() {
       "                       cluster mode: own leaves [I*L/N, (I+1)*L/N)");
 }
 
-// detlint: ok(mutable-global): signal-handler bridge — written once in
+// fplint: ok(mutable-global): signal-handler bridge — written once in
 // main() before signals are installed, read only by on_signal(); POSIX
 // signal delivery is the one consumer a member cannot serve
 daemon::Server* g_server = nullptr;

@@ -36,7 +36,7 @@ inline constexpr core::ThreadRole kServerLoop{};
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// TCP listen port; 0 binds an ephemeral port (read it back via port()).
-  // detlint: ok(raw-scalar-id): TCP listen port, not a fabric PortId/UplinkIndex
+  // fplint: ok(raw-scalar-id): TCP listen port, not a fabric PortId/UplinkIndex
   std::uint16_t port = 7117;
   /// If non-empty, the actual bound port is written here after listen() —
   /// how scripts using --port=0 discover the daemon.
@@ -93,7 +93,7 @@ class Server {
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd: request_stop() → loop wakeup
-  // detlint: ok(raw-scalar-id): TCP listen port, not a fabric PortId/UplinkIndex
+  // fplint: ok(raw-scalar-id): TCP listen port, not a fabric PortId/UplinkIndex
   std::uint16_t bound_port_ = 0;
   bool stop_requested_ FP_GUARDED_BY(kServerLoop) = false;
   std::map<int, Conn> conns_ FP_GUARDED_BY(kServerLoop);

@@ -79,7 +79,7 @@ void ClosScenario::build() {
 }
 
 ClosScenarioResult ClosScenario::run() {
-  // detlint: ok(wall-clock): wall_seconds is throughput reporting only; it
+  // fplint: ok(wall-clock): wall_seconds is throughput reporting only; it
   // never feeds simulation state and clos_report_hash zeroes it.
   const auto wall_start = std::chrono::steady_clock::now();
   // Safety cap on simulated time.
@@ -105,7 +105,7 @@ ClosScenarioResult ClosScenario::run() {
   for (const auto& lane : lanes_) r.sim_end = std::max(r.sim_end, lane->now());
   r.events = lane_runner_ != nullptr ? lane_runner_->events_executed()
                                      : lanes_.front()->events_executed();
-  // detlint: ok(wall-clock): end stamp of the reporting-only wall duration.
+  // fplint: ok(wall-clock): end stamp of the reporting-only wall duration.
   r.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                  wall_start)
                        .count();

@@ -41,12 +41,12 @@ struct ClosScenarioConfig {
   /// like exp::ScenarioConfig::lanes.
   struct LeafFault {
     net::LeafId leaf{};
-    std::uint32_t spine_index = 0;  // detlint: ok(raw-scalar-id): pod-local ordinal kept raw because perfbench/fpbench.cc brace-initializes LeafFault; build() names the link UplinkIndex{spine_index}
+    std::uint32_t spine_index = 0;  // fplint: ok(raw-scalar-id): pod-local ordinal kept raw because perfbench/fpbench.cc brace-initializes LeafFault; build() names the link UplinkIndex{spine_index}
     net::FaultSpec spec{};
   };
   struct CoreFault {
     std::uint32_t pod = 0;
-    std::uint32_t spine_index = 0;  // detlint: ok(raw-scalar-id): pod-local ordinal for ThreeLevelFatTree::set_core_link_fault's documented raw-index boundary
+    std::uint32_t spine_index = 0;  // fplint: ok(raw-scalar-id): pod-local ordinal for ThreeLevelFatTree::set_core_link_fault's documented raw-index boundary
     std::uint32_t k = 0;
     net::FaultSpec spec{};
   };

@@ -372,6 +372,14 @@ void Scenario::run_hybrid() {
   sim::Time est =
       fastforward_->estimate_iteration_time(demand_, config_.fabric.host_link.bandwidth);
 
+  // The compute gap after an iteration runs event by event, as packet mode
+  // runs it, so only a flow iteration's window counts (and is traced) as a
+  // fast-forward. A zero gap is a no-op.
+  const auto drain_compute_gap = [this](sim::Time from) {
+    const sim::Time until = from + config_.compute_gap;
+    if (until > sim_->now()) sim_->run_until(until);
+  };
+
   std::uint32_t hold = 0;          // alert-hold hysteresis, in iterations
   std::size_t seen_results = 0;    // results already scanned for alerts
   std::size_t seen_events = 0;     // mitigation events already seen
@@ -418,7 +426,7 @@ void Scenario::run_hybrid() {
       // fold into this iteration's record exactly as continuous packet mode
       // attributes them (a late duplicate always precedes iter+1's first
       // packet).
-      sim_->fast_forward(sim_->now() + config_.compute_gap);
+      drain_compute_gap(sim_->now());
       // Finalize iteration `iter` at every monitor now (packet mode would
       // have waited for iteration iter+1's first packet, which may never be
       // simulated); results flow to the detector/controller here.
@@ -438,7 +446,7 @@ void Scenario::run_hybrid() {
         flowpulse_->ingest(fastforward_->synthesize(l, net::IterIndex{iter}, start, end));
       }
       iter_windows_.emplace_back(start, end);
-      sim_->fast_forward(end + config_.compute_gap);
+      drain_compute_gap(end);
     }
 
     // Hysteresis: any alerted check or controller action demotes the NEXT
@@ -485,7 +493,7 @@ void Scenario::maybe_dump(const fp::DetectionResult& result) {
 }
 
 ScenarioResult Scenario::run() {
-  // detlint: ok(wall-clock): wall_seconds is throughput reporting only; it
+  // fplint: ok(wall-clock): wall_seconds is throughput reporting only; it
   // never feeds simulation state or results, and steady_clock is monotonic.
   const auto wall_start = std::chrono::steady_clock::now();
   std::optional<sim::audit::ScopedDumpHook> audit_dump;
@@ -504,7 +512,7 @@ ScenarioResult Scenario::run() {
     sim_->run_until(kHorizon);
     flowpulse_->flush();
   }
-  // detlint: ok(wall-clock): end stamp of the reporting-only wall duration.
+  // fplint: ok(wall-clock): end stamp of the reporting-only wall duration.
   const auto wall_end = std::chrono::steady_clock::now();
 
   ScenarioResult r;

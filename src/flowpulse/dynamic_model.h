@@ -59,7 +59,7 @@ class DynamicDemandTracker {
   const net::RoutingState& routing_;
   AnalyticalModel model_;
   // Ordered container: iteration-keyed simulation state stays deterministic
-  // even if a future consumer iterates it (detlint bans unordered here).
+  // even if a future consumer iterates it (fplint bans unordered here).
   std::map<net::IterIndex, PortLoadMap> predictions_;
 };
 

@@ -48,7 +48,7 @@ class RoutingState {
     std::vector<UplinkIndex> uplinks;
   };
   std::uint64_t version_ = 0;
-  // detlint: ok(mutable-member): per-instance memoization keyed by
+  // fplint: ok(mutable-member): per-instance memoization keyed by
   // version_ — rebuilt deterministically from routing state, never shared
   // across RoutingState objects (each lane owns its fabric and routing)
   mutable std::vector<CacheEntry> cache_;  // leaves_ × leaves_

@@ -212,13 +212,13 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
 
     case SprayPolicy::kFlowlet: {
       // Let-It-Flow-style flowlet switching: a flow sticks to its lane
-      // while packets keep arriving; an idle gap > flowlet_gap_ lets it
+      // while packets keep arriving; an idle gap > kFlowletGap lets it
       // re-route to the currently least-occupied valid lane.
       if (flowlet_table_.empty()) flowlet_table_.resize(kFlowletTableSize);
       const std::uint64_t key = flow_hash(p);
       FlowletEntry& entry = flowlet_table_[key % kFlowletTableSize];
       const sim::Time now = sim_.now();
-      const bool fresh = entry.key != key || now - entry.last > flowlet_gap_;
+      const bool fresh = entry.key != key || now - entry.last > kFlowletGap;
       if (fresh || routing_.known_failed(id_, entry.uplink)) {
         UplinkIndex pick = valid[0];
         core::Bytes best{std::numeric_limits<std::uint64_t>::max()};

@@ -174,7 +174,7 @@ class LeafSwitch final : public Switch {
     sim::Time last = sim::Time::zero();
   };
   static constexpr std::size_t kFlowletTableSize = 4096;
-  sim::Time flowlet_gap_ = sim::Time::microseconds(10);
+  static constexpr sim::Time kFlowletGap = sim::Time::microseconds(10);
   std::vector<FlowletEntry> flowlet_table_;
   /// Byte-deficit tie-break state (kAdaptive), kept per (destination leaf,
   /// traffic class, uplink): among equally-uncongested lanes the switch

@@ -85,7 +85,7 @@ class PodSpineSwitch final : public Switch {
 
   void receive(Packet p, PortIndex in_port) override;
 
-  // detlint: ok(raw-scalar-id): pod-local ordinal, not a global id — the
+  // fplint: ok(raw-scalar-id): pod-local ordinal, not a global id — the
   // documented raw-index face of the three-level API
   [[nodiscard]] EgressPort& down_port(std::uint32_t local_leaf) {
     return port(PortIndex{local_leaf});
@@ -105,7 +105,7 @@ class PodSpineSwitch final : public Switch {
   /// Spray candidates for cross-pod traffic: every core of this group, in
   /// index order, precomputed once. Per-switch (so per-lane) state — this
   /// replaced a function-local `static thread_local` that the mutable-state
-  /// lint (detlint mutable-global) and the nm symbol audit now reject:
+  /// lint (fplint mutable-global) and the nm symbol audit now reject:
   /// hidden static scratch is exactly the cross-lane sharing the sharded
   /// event core must not inherit.
   std::vector<UplinkIndex> spray_candidates_;
@@ -150,7 +150,7 @@ class ThreeLevelFatTree : public ClosFabric {
   }
 
   /// Silent fault on a pod-spine↔core link (both directions).
-  // detlint: ok(raw-scalar-id): pod-local ordinals — documented raw-index boundary
+  // fplint: ok(raw-scalar-id): pod-local ordinals — documented raw-index boundary
   void set_core_link_fault(std::uint32_t pod, std::uint32_t spine_index, std::uint32_t k,
                            FaultSpec fault);
 

@@ -11,15 +11,15 @@ namespace {
 // runs; read on the failure path. A plain pointer keeps the passing path
 // free of synchronization (parallel trial workers never touch it unless a
 // violation fires, which is already a dead run).
-// detlint: ok(mutable-global): test-only hook, installed by ScopedHandler
+// fplint: ok(mutable-global): test-only hook, installed by ScopedHandler
 // before any simulation thread exists and read only on the failure path
 Handler g_handler = nullptr;
 
 // Same discipline as g_handler: installed before a run, read only on the
 // failure path.
-// detlint: ok(mutable-global): test-only hook, same access protocol as g_handler
+// fplint: ok(mutable-global): test-only hook, same access protocol as g_handler
 DumpHook g_dump_hook = nullptr;
-// detlint: ok(mutable-global): test-only hook, same access protocol as g_handler
+// fplint: ok(mutable-global): test-only hook, same access protocol as g_handler
 void* g_dump_ctx = nullptr;
 
 }  // namespace

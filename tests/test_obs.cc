@@ -470,7 +470,8 @@ TEST(TraceE2E, VerboseTracingOnlyObserves) {
 TEST(TraceE2E, HybridFidelitySwitchesAreTraced) {
   // A transient gray link in a hybrid run: the engine demotes to packets
   // around the fault and promotes back once it has passed. Each switch the
-  // fidelity stats count is one kFidelity event in the trace.
+  // fidelity stats count is one kFidelity event in the trace, and so is
+  // each flow iteration's fast-forward (a compute gap is not one).
   exp::ScenarioConfig cfg = testing::golden_scenario_config();
   cfg.mitigation.enabled = false;
   cfg.iterations = 24;
@@ -485,16 +486,56 @@ TEST(TraceE2E, HybridFidelitySwitchesAreTraced) {
   ASSERT_EQ(r.trace_dropped, 0u);
   std::uint32_t demotions = 0;
   std::uint32_t promotions = 0;
+  std::uint32_t fast_forwards = 0;
   for (const TraceEvent& e : r.trace_events) {
     if (e.kind != EventKind::kFidelity) continue;
     const std::string detail = e.detail;
     demotions += detail == "demote-to-packet" ? 1 : 0;
     promotions += detail == "promote-to-flow" ? 1 : 0;
+    fast_forwards += detail == "fast-forward" ? 1 : 0;
   }
   EXPECT_GE(r.fidelity.demotions, 1u);
   EXPECT_GE(r.fidelity.promotions, 1u);
   EXPECT_EQ(demotions, r.fidelity.demotions);
   EXPECT_EQ(promotions, r.fidelity.promotions);
+  EXPECT_GE(r.fidelity.packet_iterations, 1u);
+  EXPECT_EQ(fast_forwards, r.fidelity.flow_iterations);
+  EXPECT_EQ(s.simulator().fast_forwards(), r.fidelity.flow_iterations);
+}
+
+TEST(TraceE2E, FlowFidelityRunIsTraced) {
+  // kFlow synthesizes every iteration: the trace holds one fast-forward per
+  // iteration and no fidelity switch, and the detector's flags on the
+  // synthesized records name the faulted link, as packet-mode flags do.
+  exp::ScenarioConfig cfg = testing::golden_scenario_config();
+  cfg.mitigation.enabled = false;
+  cfg.fidelity.mode = fp::FidelityMode::kFlow;
+  cfg.trace.level = TraceLevel::kEvents;
+  cfg.trace.capacity = 1 << 16;
+  exp::Scenario s{cfg};
+  const exp::ScenarioResult r = s.run();
+  ASSERT_TRUE(r.fidelity.enabled);
+  ASSERT_EQ(r.trace_dropped, 0u);
+  EXPECT_EQ(r.fidelity.flow_iterations, cfg.iterations);
+  std::uint32_t fast_forwards = 0;
+  std::uint32_t switches = 0;
+  bool flagged_faulted_link = false;
+  for (const TraceEvent& e : r.trace_events) {
+    if (e.kind == EventKind::kDetectorFlag && e.a == 5 && e.b == 3) {
+      flagged_faulted_link = true;
+    }
+    if (e.kind != EventKind::kFidelity) continue;
+    const std::string detail = e.detail;
+    if (detail == "fast-forward") {
+      ++fast_forwards;
+    } else {
+      ++switches;
+    }
+  }
+  EXPECT_EQ(fast_forwards, cfg.iterations);
+  EXPECT_EQ(s.simulator().fast_forwards(), cfg.iterations);
+  EXPECT_EQ(switches, 0u);
+  EXPECT_TRUE(flagged_faulted_link);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 # Script-mode check (cmake -P): fail if any of the given static libraries
 # defines a writable (mutable, static-storage) data symbol that is not on
-# the allowlist. This is the post-build teeth behind detlint's
+# the allowlist. This is the post-build teeth behind fplint's
 # mutable-global rule: the lint sees source lines, nm sees what the
 # compiler actually emitted — function-local static guard variables,
 # .bss/.data objects from templates or macros, anything the line-level
@@ -18,7 +18,7 @@
 #   _ZZ...__ioinit       iostream init guard (std::ios_base::Init)
 #   _ZGR                 lifetime-extended temporaries of constinit refs
 #
-# Allowlist (regex per entry, with justification — mirror of the detlint
+# Allowlist (regex per entry, with justification — mirror of the fplint
 # waivers in the source):
 #   flowpulse::sim::audit anonymous-namespace hooks (g_handler,
 #   g_dump_hook, g_dump_ctx): test-only ScopedHandler bridge, installed
@@ -78,6 +78,6 @@ if(violations)
     "the state into an owning object, or — if the access protocol is "
     "genuinely safe — add the mangled symbol to FP_ALLOWED_SYMBOLS in "
     "tools/check_mutable_symbols.cmake WITH a justification, next to a "
-    "matching detlint waiver in the source.")
+    "matching fplint waiver in the source.")
 endif()
 message(STATUS "no unexpected mutable symbols in ${LIBS}")

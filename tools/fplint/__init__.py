@@ -1,15 +1,16 @@
 """fplint: scope-aware static analysis for the FlowPulse tree.
 
-A dependency-free (stdlib-only, Python >= 3.8) replacement for the
-regex-based detlint engine. The substrate is a real C++ tokenizer
-(lexer.py), a brace/scope tracker with declaration capture (scopes.py),
-a cross-TU identifier/declaration index and include-graph builder
-(engine.py), and a legacy-compatible line view (legacy.py) on which the
-twelve historical detlint rules run byte-identically (rules_ported.py —
-proven by the parity ctest against the frozen engine under tests/).
+Dependency-free (stdlib-only, Python >= 3.8). Each file is tokenized
+once by a real C++ tokenizer (lexer.py); every rule reads that one token
+stream, either directly or through the code view built from it (the
+source with comments and literals blanked, lexer.code_lines). On top of
+it sit a brace/scope tracker with declaration capture (scopes.py), a
+cross-TU identifier/declaration index and include-graph builder
+(engine.py), and the rule catalogue and waiver scanner (waivers.py).
 
-On top of that substrate live the four rules a line regex cannot
-express (rules_scoped.py + engine.py):
+The twelve line rules (rules_ported.py) match regexes against the code
+view. The four rules a line regex cannot express live in
+rules_scoped.py + engine.py:
 
   lane-capture        a lambda posted cross-lane must not capture by
                       reference or smuggle pointers to source-lane state
@@ -23,8 +24,7 @@ express (rules_scoped.py + engine.py):
   stale-waiver        a waiver on a line where its rule no longer fires
                       is itself an error
 
-Entry point: `python3 tools/fplint <paths>` (tools/fplint/__main__.py);
-`--compat-detlint` reproduces the legacy output for the parity test.
+Entry point: `python3 tools/fplint <paths>` (tools/fplint/__main__.py).
 """
 
 __version__ = "1.0"

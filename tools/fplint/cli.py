@@ -6,16 +6,12 @@ Options:
   --sarif FILE       also write findings as SARIF 2.1.0
   --fix              apply mechanical fixes (stale-waiver removal, waiver
                      normalization) before linting
-  --compat-detlint   legacy mode: the twelve ported rules only, detlint:
-                     waivers only, byte-identical legacy output (used by
-                     the parity ctest against the frozen engine)
   --no-cache         ignore and do not write the fact cache
   --cache-dir DIR    fact cache location (default .fplint-cache/)
   --stats            print files/cache/wall-time stats to stderr
   --rules            print the rule table and exit
 
-Exit status: 0 clean, 1 findings, 2 usage error — same contract as the
-legacy detlint so ctest and CI wiring carry over unchanged.
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -28,18 +24,18 @@ from typing import List
 
 import engine
 import fix as fixmod
-import legacy
 import sarif
+import waivers
 
 VERSION = "1.0"
 
 
 def _rule_table() -> str:
     rows = []
-    for rule in sorted(legacy.ALL_RULES | {"bad-waiver"}):
-        origin = "ported" if rule in legacy.PORTED_RULES else (
+    for rule in sorted(waivers.ALL_RULES | {"bad-waiver"}):
+        origin = "ported" if rule in waivers.PORTED_RULES else (
             "meta" if rule == "bad-waiver" else "scoped")
-        waivable = "no" if rule in legacy.UNWAIVABLE or rule == "bad-waiver" \
+        waivable = "no" if rule in waivers.UNWAIVABLE or rule == "bad-waiver" \
             else "yes"
         rows.append((rule, origin, waivable,
                      sarif.RULE_DESCRIPTIONS.get(rule, "")))
@@ -59,7 +55,6 @@ def main(argv: List[str]) -> int:
     ap.add_argument("paths", nargs="*")
     ap.add_argument("--sarif", metavar="FILE")
     ap.add_argument("--fix", action="store_true")
-    ap.add_argument("--compat-detlint", action="store_true")
     ap.add_argument("--no-cache", action="store_true")
     ap.add_argument("--cache-dir", metavar="DIR", default=".fplint-cache")
     ap.add_argument("--stats", action="store_true")
@@ -75,10 +70,9 @@ def main(argv: List[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
 
-    prog = "detlint" if args.compat_detlint else "fplint"
-    paths, err = legacy.collect_paths(args.paths)
+    paths, err = waivers.collect_paths(args.paths)
     if err is not None:
-        print("{}: {}".format(prog, err), file=sys.stderr)
+        print("fplint: {}".format(err), file=sys.stderr)
         return 2
 
     cache_file = None if args.no_cache else \
@@ -87,17 +81,13 @@ def main(argv: List[str]) -> int:
     t0 = time.monotonic()
 
     if args.fix:
-        if args.compat_detlint:
-            print("fplint: --fix and --compat-detlint are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
         changed, edits = fixmod.fix_paths(paths, cache)
         if changed:
             print("fplint: fixed {} waiver issue(s) in {} file(s)".format(
                 edits, changed))
 
-    results = engine.run(paths, cache, compat=args.compat_detlint)
-    text, count = engine.render_text(results, prog=prog)
+    results = engine.run(paths, cache)
+    text, count = engine.render_text(results)
     print(text)
 
     if args.sarif:

@@ -1,26 +1,23 @@
 """fplint engine: per-file fact extraction, cache, cross-TU resolution.
 
-The pipeline is two-phase, exactly like the legacy engine's but with a
-cacheable seam between the phases:
+The pipeline is two-phase, with a cacheable seam between the phases:
 
   1. `analyze_file` turns one file into `FileFacts` — a pure function of
-     the file's bytes (raw findings from every file-local rule, plus the
-     cross-TU raw material: unordered-container idents/use-sites, method
-     const-ness declarations, macro-argument call sites, waivers). Facts
-     are pickled per tree into a single cache file keyed on
-     (mtime_ns, size, CACHE_VERSION), which is what makes warm
-     incremental runs sub-second: an unchanged file costs one stat.
+     the file's bytes. It tokenizes the file once; the scope-aware rules
+     read the tokens, and the line rules, the include scanner and the
+     waiver scanner read the code view built from the same tokens
+     (lexer.code_lines). The facts are the raw findings from every
+     file-local rule, plus the cross-TU raw material: unordered-container
+     idents/use-sites, method const-ness declarations, macro-argument
+     call sites, waivers. Facts are pickled per tree into a single cache
+     file keyed on (mtime_ns, size, CACHE_VERSION), which is what makes
+     warm incremental runs sub-second: an unchanged file costs one stat.
 
   2. `resolve` merges the per-file facts into the tree-wide indexes
      (unordered idents, method const-ness), materializes the global
      rules, applies waivers, and computes stale-waiver LAST — from the
      raw pre-waiver finding set, so a waiver is stale exactly when the
      rule it names does not fire on the line it targets.
-
-`compat` mode reproduces the legacy engine bit for bit: legacy directive
-regex (detlint: spelling only), the twelve legacy rules, no scoped
-rules, no stale-waiver, `detlint:`-prefixed summary. The parity ctest
-diffs this mode against the frozen legacy copy on the live tree.
 """
 
 from __future__ import annotations
@@ -30,22 +27,22 @@ import pickle
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-import legacy
 import lexer
 import rules_ported
 import rules_scoped
 import scopes
+import waivers
 
 # Bump whenever tokenization, fact extraction, or any rule changes, so
 # stale caches self-invalidate.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 Finding = Tuple[int, str, str]  # (1-based line, rule id, message)
 
 
 class FileFacts(NamedTuple):
     module: Optional[str]
-    raw_local: List[Finding]                      # ported file-local rules
+    raw_local: List[Finding]                      # file-local line rules
     unordered_idents: List[str]                   # declared in this file
     unordered_sites: List[Tuple[int, str, str]]   # (line, ident, via)
     method_decls: Dict[str, List[bool]]           # name -> const flags seen
@@ -53,34 +50,26 @@ class FileFacts(NamedTuple):
     macro_calls: List[Tuple[int, str, str]]       # (line, macro, method)
     lane_findings: List[Finding]
     layer_findings: List[Finding]
-    waivers: List[legacy.Waiver]                  # both spellings
+    waivers: List[waivers.Waiver]
     waiver_errors: List[Finding]
-    compat_waivers: List[legacy.Waiver]           # detlint: spelling only
-    compat_waiver_errors: List[Finding]
 
 
 def analyze_file(path: Path) -> FileFacts:
     """Extract every cacheable fact from one file (no cross-TU state)."""
     text = path.read_text(encoding="utf-8", errors="replace")
     raw_lines = text.splitlines()
-    code = legacy.code_lines(raw_lines)
-    module = legacy.module_of(path)
+    toks = lexer.tokenize(text)
+    code = lexer.code_lines(text, toks)
+    module = waivers.module_of(path)
 
     raw_local = rules_ported.lint_local(path, raw_lines, code, module)
     u_idents = rules_ported.unordered_decl_idents(code)
     u_sites = rules_ported.unordered_use_sites(code)
 
-    toks = lexer.tokenize(text)
     analysis = scopes.analyze(toks)
     records = scopes.macro_arg_records(toks)
     includes = rules_scoped.quoted_includes(raw_lines, code)
-
-    full = legacy.scan_waivers(raw_lines, code)
-    compat = legacy.scan_waivers(
-        raw_lines, code,
-        known_rules=legacy.PORTED_RULES,
-        unwaivable=frozenset(),
-        directive_re=legacy.LEGACY_DIRECTIVE_RE)
+    scan = waivers.scan_waivers(raw_lines, code)
 
     return FileFacts(
         module=module,
@@ -93,10 +82,8 @@ def analyze_file(path: Path) -> FileFacts:
         lane_findings=rules_scoped.lane_capture_findings(
             list(analysis.lambda_sites)),
         layer_findings=rules_scoped.layering_findings(module, includes),
-        waivers=full.waivers,
-        waiver_errors=full.errors,
-        compat_waivers=compat.waivers,
-        compat_waiver_errors=compat.errors,
+        waivers=scan.waivers,
+        waiver_errors=scan.errors,
     )
 
 
@@ -172,74 +159,69 @@ def global_indexes(files: List[Tuple[str, FileFacts]]
 
 
 def raw_findings_for(facts: FileFacts, global_unordered: Set[str],
-                     method_index: Dict[str, bool],
-                     compat: bool) -> List[Finding]:
+                     method_index: Dict[str, bool]) -> List[Finding]:
     """One file's pre-waiver finding set, global rules resolved."""
     raw: List[Finding] = list(facts.raw_local)
     for line, ident, via in facts.unordered_sites:
         if ident in global_unordered:
             raw.append((line, "unordered-iteration",
                         rules_ported.unordered_iteration_message(ident, via)))
-    if not compat:
-        raw.extend(facts.lane_findings)
-        raw.extend(facts.layer_findings)
-        raw.extend(facts.macro_ops)
-        raw.extend(rules_scoped.resolve_variant_calls(
-            facts.macro_calls, method_index))
+    raw.extend(facts.lane_findings)
+    raw.extend(facts.layer_findings)
+    raw.extend(facts.macro_ops)
+    raw.extend(rules_scoped.resolve_variant_calls(
+        facts.macro_calls, method_index))
     return raw
 
 
 def stale_waivers_for(facts: FileFacts,
-                      raw: List[Finding]) -> List[legacy.Waiver]:
+                      raw: List[Finding]) -> List[waivers.Waiver]:
     """Waivers whose rule does not fire on the line they target."""
     fired = {(line, rule) for line, rule, _ in raw}
     return [w for w in facts.waivers
             if w.target_line < 0 or (w.target_line, w.rule) not in fired]
 
 
-def resolve(files: List[Tuple[str, FileFacts]],
-            compat: bool = False) -> List[Tuple[str, List[Finding]]]:
+def resolve(files: List[Tuple[str, FileFacts]]
+            ) -> List[Tuple[str, List[Finding]]]:
     """Merge per-file facts into final, waiver-filtered findings per file."""
     global_unordered, method_index = global_indexes(files)
 
     out: List[Tuple[str, List[Finding]]] = []
     for disp, facts in files:
-        raw = raw_findings_for(facts, global_unordered, method_index, compat)
-        waivers = facts.compat_waivers if compat else facts.waivers
-        werrors = facts.compat_waiver_errors if compat else facts.waiver_errors
-        wmap = legacy.waiver_map(waivers)
-        findings = list(werrors)
+        raw = raw_findings_for(facts, global_unordered, method_index)
+        wmap = waivers.waiver_map(facts.waivers)
+        findings = list(facts.waiver_errors)
         findings.extend(f for f in raw if f[1] not in wmap.get(f[0], {}))
 
-        if not compat:
-            for w in stale_waivers_for(facts, raw):
-                if w.target_line < 0:
-                    findings.append(
-                        (w.directive_line, "stale-waiver",
-                         "waiver for '{}' never attaches to a code line "
-                         "(nothing but blank lines or EOF follows it) — "
-                         "remove it".format(w.rule)))
-                else:
-                    findings.append(
-                        (w.directive_line, "stale-waiver",
-                         "waiver for '{}' on a line where the rule does not "
-                         "fire — the code moved on; remove the waiver "
-                         "(`fplint --fix` does this)".format(w.rule)))
+        for w in stale_waivers_for(facts, raw):
+            if w.target_line < 0:
+                findings.append(
+                    (w.directive_line, "stale-waiver",
+                     "waiver for '{}' never attaches to a code line "
+                     "(nothing but blank lines or EOF follows it) — "
+                     "remove it".format(w.rule)))
+            else:
+                findings.append(
+                    (w.directive_line, "stale-waiver",
+                     "waiver for '{}' on a line where the rule does not "
+                     "fire — the code moved on; remove the waiver "
+                     "(`fplint --fix` does this)".format(w.rule)))
         out.append((disp, sorted(findings)))
     return out
 
 
-def run(paths: List[Path], cache: FactCache,
-        compat: bool = False) -> List[Tuple[str, List[Finding]]]:
+def run(paths: List[Path],
+        cache: FactCache) -> List[Tuple[str, List[Finding]]]:
     files = [(str(p), cache.facts_for(p)) for p in paths]
-    results = resolve(files, compat=compat)
+    results = resolve(files)
     cache.save()
     return results
 
 
-def render_text(results: List[Tuple[str, List[Finding]]],
-                prog: str = "fplint") -> Tuple[str, int]:
-    """The legacy output format. Returns (text, finding count)."""
+def render_text(results: List[Tuple[str, List[Finding]]]
+                ) -> Tuple[str, int]:
+    """The text report. Returns (text, finding count)."""
     lines: List[str] = []
     count = 0
     for disp, findings in results:
@@ -248,8 +230,8 @@ def render_text(results: List[Tuple[str, List[Finding]]],
                 disp, lineno, rule, message))
             count += 1
     if count:
-        lines.append("{}: {} error(s) in {} file(s)".format(
-            prog, count, len(results)))
+        lines.append("fplint: {} error(s) in {} file(s)".format(
+            count, len(results)))
     else:
-        lines.append("{}: clean ({} files)".format(prog, len(results)))
+        lines.append("fplint: clean ({} files)".format(len(results)))
     return "\n".join(lines), count

@@ -6,10 +6,7 @@ Two transformations, both provably behavior-preserving for the lint:
     it targets is deleted (the whole line when the directive is the only
     thing on it, just the directive text when it trails code);
   * directive normalization — a surviving, valid waiver is rewritten to
-    the canonical spacing `// <tool>: ok(<rule>): <justification>`. The
-    tool token (`detlint:` vs `fplint:`) is preserved: ported-rule
-    waivers keep the historical spelling so the frozen legacy engine in
-    the parity test reads them too.
+    the canonical spacing `// fplint: ok(<rule>): <justification>`.
 
 Anything that needs judgement (an unknown rule id, a missing
 justification, an actual finding) is left for a human. Running --fix
@@ -23,10 +20,10 @@ from pathlib import Path
 from typing import List, Tuple
 
 import engine
-import legacy
+import waivers
 
 
-def fix_text(text: str, stale: List[legacy.Waiver]) -> Tuple[str, int]:
+def fix_text(text: str, stale: List[waivers.Waiver]) -> Tuple[str, int]:
     """Apply both fixes to one file's text. Returns (new_text, n_edits)."""
     # splitlines(True) keeps each line's own terminator, so files without
     # a trailing newline round-trip byte-exactly.
@@ -52,15 +49,15 @@ def fix_text(text: str, stale: List[legacy.Waiver]) -> Tuple[str, int]:
 
     # Normalization: purely syntactic, so it is idempotent by construction.
     for idx, line in enumerate(lines):
-        m = legacy.DIRECTIVE_RE.search(line)
+        m = waivers.DIRECTIVE_RE.search(line)
         if m is None:
             continue
-        spelling, rule = m.group(1), m.group(2)
-        justification = (m.group(3) or "").strip()
-        if rule not in legacy.ALL_RULES or rule in legacy.UNWAIVABLE \
+        rule = m.group(1)
+        justification = (m.group(2) or "").strip()
+        if rule not in waivers.ALL_RULES or rule in waivers.UNWAIVABLE \
                 or not justification:
             continue  # bad-waiver territory: needs a human, not a fixer
-        canonical = "// {}: ok({}): {}".format(spelling, rule, justification)
+        canonical = "// fplint: ok({}): {}".format(rule, justification)
         if line[m.start():m.end()] != canonical:
             lines[idx] = line[:m.start()] + canonical + line[m.end():]
             edits += 1
@@ -77,8 +74,7 @@ def fix_paths(paths: List[Path],
     changed = 0
     total_edits = 0
     for path, (_, facts) in zip(paths, files):
-        raw = engine.raw_findings_for(
-            facts, global_unordered, method_index, compat=False)
+        raw = engine.raw_findings_for(facts, global_unordered, method_index)
         stale = engine.stale_waivers_for(facts, raw)
         text = path.read_text(encoding="utf-8", errors="replace")
         new_text, edits = fix_text(text, stale)
@@ -89,10 +85,10 @@ def fix_paths(paths: List[Path],
     return changed, total_edits
 
 
-def _directive_at(line: str, w: legacy.Waiver) -> "re.Match | None":
+def _directive_at(line: str, w: waivers.Waiver) -> "re.Match | None":
     """The directive match on `line` corresponding to waiver `w`."""
-    for m in legacy.DIRECTIVE_RE.finditer(line):
-        if m.start() == w.match_start and m.group(2) == w.rule:
+    for m in waivers.DIRECTIVE_RE.finditer(line):
+        if m.start() == w.match_start and m.group(1) == w.rule:
             return m
     return None
 

@@ -1,8 +1,7 @@
-"""A real C++ tokenizer (lexer) for fplint.
+"""The C++ tokenizer fplint reads every file with.
 
-Produces a flat token stream with source positions. Unlike the legacy
-line-regex view (legacy.py, kept for byte-identical ported rules), this
-lexer understands the lexical forms that break line regexes:
+Produces a flat token stream with source positions. It understands the
+lexical forms that break line regexes:
 
   * raw string literals  R"delim( ... )delim"  (any prefix: u8R, LR, ...)
   * digit separators     1'000'000  (not a char literal)
@@ -11,14 +10,18 @@ lexer understands the lexical forms that break line regexes:
     are flagged `pp=True` so semantic rules can skip macro definitions
   * maximal-munch punctuators (<<=, <=>, ->*, ...)
 
-The stream keeps comments as tokens (rules never need them, but the
-fixer and waiver scanner work on raw lines anyway) and never raises:
-unterminated literals degrade to a token running to end of file, because
-a linter must keep going on code a compiler would reject.
+The stream keeps comments as tokens and never raises: unterminated
+literals degrade to a token running to end of file, because a linter
+must keep going on code a compiler would reject.
+
+`code_lines` turns the stream back into the line view the line rules,
+the include scanner and the waiver scanner read: the source with every
+comment and literal blanked out.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, NamedTuple
 
 # Token kinds.
@@ -235,3 +238,31 @@ def _scan_literal(text: str, start: int, quote_pos: int) -> "tuple[str, int]":
             return text[start:j], j
         j += 1
     return text[start:], n
+
+
+# Blanked in the code view: what a line rule must never match inside.
+_BLANKED = frozenset({COMMENT, STR, CHR})
+# Every character str.splitlines() breaks on; blanking keeps them, so the
+# view has exactly the lines of the source.
+_NOT_LINE_BREAK = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def code_lines(text: str, toks: List[Token]) -> List[str]:
+    """`text.splitlines()` with every comment, string and character literal
+    token (prefix included) blanked to spaces, so each line keeps its
+    length and columns match the source."""
+    line_starts = [0]
+    nl = text.find("\n")
+    while nl != -1:
+        line_starts.append(nl + 1)
+        nl = text.find("\n", nl + 1)
+    pieces: List[str] = []
+    pos = 0
+    for tok in toks:
+        if tok.kind in _BLANKED:
+            start = line_starts[tok.line - 1] + tok.col
+            pieces.append(text[pos:start])
+            pieces.append(_NOT_LINE_BREAK.sub(" ", tok.text))
+            pos = start + len(tok.text)
+    pieces.append(text[pos:])
+    return "".join(pieces).splitlines()

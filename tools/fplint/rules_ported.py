@@ -1,11 +1,9 @@
-"""The twelve detlint rules, ported byte-identically.
+"""The twelve line rules.
 
-Each rule keeps the exact regex, exemption logic, and message text of the
-legacy engine (tools/detlint.py before it became a shim; frozen verbatim
-at tools/fplint/tests/legacy_detlint.py), operating on the legacy line
-view (legacy.code_lines). The parity ctest diffs this port against the
-frozen engine over the live src/ tree on every run, so any drift — a
-"harmless" message reword included — is a test failure.
+Each rule is a regex (plus exemptions) matched line by line against the
+code view (lexer.code_lines), in which comments and string/char literals
+are blanked, so a rule fires only on code. The rule table lists them as
+`ported`: they came from the regex pass fplint grew out of.
 
 Rule documentation lives in DESIGN.md ("Correctness tooling") and in the
 rule table printed by `python3 tools/fplint --rules`.
@@ -161,7 +159,7 @@ def unordered_use_sites(code: List[str]) -> List[Tuple[int, str, str]]:
     """Candidate iteration sites: (line, ident, via 'range-for'|'begin').
 
     Resolved globally by the engine against the tree-wide declared-ident
-    set, exactly as the legacy engine did.
+    set.
     """
     sites: List[Tuple[int, str, str]] = []
     for idx, line in enumerate(code):

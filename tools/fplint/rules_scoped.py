@@ -47,7 +47,7 @@ _DAG_TEXT = ("core < sim < net < transport < collective < flowpulse < "
              "{ctrl, baseline, obs} < exp < daemon")
 
 # Live quoted include on a preprocessor line. Matched against the raw
-# line but gated on the stripped view starting with '#', so a
+# line but gated on the code view starting with '#', so a
 # commented-out include does not flag (same discipline as the os-io rule).
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 

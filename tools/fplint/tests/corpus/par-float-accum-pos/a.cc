@@ -1,6 +1,6 @@
 #include <mutex>
 
-std::mutex g_mu;  // detlint: ok(mutable-global): corpus fixture — the threading marker itself
+std::mutex g_mu;  // fplint: ok(mutable-global): corpus fixture — the threading marker itself
 
 double tally(const double* xs, int n) {
   double acc = 0.0;

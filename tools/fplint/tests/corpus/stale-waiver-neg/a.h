@@ -2,6 +2,6 @@
 #include <unordered_map>
 
 struct Holder {
-  // detlint: ok(unordered): bounded lookup table, never iterated
+  // fplint: ok(unordered): bounded lookup table, never iterated
   std::unordered_map<int, int> by_key_;
 };

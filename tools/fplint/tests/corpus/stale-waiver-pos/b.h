@@ -3,4 +3,4 @@
 struct Tail {
   int x_ = 0;
 };
-// detlint: ok(wall-clock): dangles at end of file, attaches to nothing — expect[stale-waiver]
+// fplint: ok(wall-clock): dangles at end of file, attaches to nothing — expect[stale-waiver]

@@ -1,7 +1,7 @@
 #include <map>
 #include <vector>
 
-std::map<int, int> scores_map;  // detlint: ok(mutable-global): corpus fixture for the iteration negative
+std::map<int, int> scores_map;  // fplint: ok(mutable-global): corpus fixture for the iteration negative
 
 int sum(const std::vector<int>& values) {
   int s = 0;

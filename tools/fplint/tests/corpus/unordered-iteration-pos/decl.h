@@ -2,6 +2,6 @@
 #include <unordered_map>
 
 struct Table {
-  // detlint: ok(unordered): corpus fixture — iterated on purpose in use.cc
+  // fplint: ok(unordered): corpus fixture — iterated on purpose in use.cc
   std::unordered_map<int, int> scores_;
 };

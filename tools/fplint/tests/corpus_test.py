@@ -24,7 +24,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
 import engine  # noqa: E402
-import legacy  # noqa: E402
+import waivers  # noqa: E402
 
 EXPECT_RE = re.compile(r"expect\[([\w-]+)\](?:@(\d+))?")
 
@@ -32,7 +32,7 @@ EXPECT_RE = re.compile(r"expect\[([\w-]+)\](?:@(\d+))?")
 def expected_for(case: Path):
     exp = set()
     for f in sorted(case.rglob("*")):
-        if not f.is_file() or f.suffix not in legacy.SUFFIXES:
+        if not f.is_file() or f.suffix not in waivers.SUFFIXES:
             continue
         for lineno, line in enumerate(f.read_text().splitlines(), 1):
             for m in EXPECT_RE.finditer(line):
@@ -42,7 +42,7 @@ def expected_for(case: Path):
 
 
 def actual_for(case: Path):
-    paths, err = legacy.collect_paths([str(case)])
+    paths, err = waivers.collect_paths([str(case)])
     if err:
         raise SystemExit("corpus_test: " + err)
     results = engine.run(paths, engine.FactCache(None))
@@ -76,7 +76,7 @@ def main() -> int:
                 print("  extra:   {}:{}: {}".format(f, line, rule))
     # Every rule the engine knows (plus the bad-waiver meta finding) must
     # have at least one firing snippet — a rule nothing exercises is dead.
-    all_rules = set(legacy.ALL_RULES) | {"bad-waiver"}
+    all_rules = set(waivers.ALL_RULES) | {"bad-waiver"}
     unexercised = all_rules - rules_covered
     if unexercised:
         failures += 1

@@ -19,7 +19,7 @@ sys.path.insert(0, str(HERE.parent))
 
 import engine  # noqa: E402
 import fix  # noqa: E402
-import legacy  # noqa: E402
+import waivers  # noqa: E402
 
 FIXTURE = {
     # Stale same-line waiver: the rule does not fire on that line, so the
@@ -29,7 +29,7 @@ FIXTURE = {
         "#include <map>\n"
         "\n"
         "struct A {\n"
-        "  std::map<int, int> by_id_;  // detlint: ok(unordered): nope\n"
+        "  std::map<int, int> by_id_;  // fplint: ok(unordered): nope\n"
         "};\n"
     ),
     # Stale comment-above waiver: the whole line vanishes.
@@ -49,7 +49,7 @@ FIXTURE = {
         "struct C {\n"
         "  int x_ = 0;\n"
         "};\n"
-        "// detlint: ok(wall-clock): attaches to nothing\n"
+        "// fplint: ok(wall-clock): attaches to nothing\n"
     ),
     # Valid but sloppily formatted waiver: normalized, never removed.
     "sloppy_valid.h": (
@@ -57,7 +57,7 @@ FIXTURE = {
         "#include <unordered_map>\n"
         "\n"
         "struct D {\n"
-        "  //detlint:ok(unordered)   bounded lookup table, never iterated\n"
+        "  //fplint:ok(unordered)   bounded lookup table, never iterated\n"
         "  std::unordered_map<int, int> lut_;\n"
         "};\n"
     ),
@@ -92,7 +92,7 @@ EXPECT = {
         "#include <unordered_map>\n"
         "\n"
         "struct D {\n"
-        "  // detlint: ok(unordered): bounded lookup table, never iterated\n"
+        "  // fplint: ok(unordered): bounded lookup table, never iterated\n"
         "  std::unordered_map<int, int> lut_;\n"
         "};\n"
     ),
@@ -111,7 +111,7 @@ def main() -> int:
         root = Path(tmp)
         for name, text in FIXTURE.items():
             (root / name).write_text(text)
-        paths, err = legacy.collect_paths([str(root)])
+        paths, err = waivers.collect_paths([str(root)])
         assert err is None, err
 
         changed, edits = fix.fix_paths(paths, engine.FactCache(None))

@@ -89,6 +89,22 @@ def lexer_never_raises_on_junk():
     lexer.tokenize("\"unterminated\n'\x00\x01 /* open forever")
 
 
+@check
+def lexer_code_lines_blank_only_comments_and_literals():
+    src = ("long n = 1'000; // note\n"
+           "auto r = u8R\"(\n"
+           "  rand() )\";\n"
+           "char c = 'x'; /* a\n"
+           "b */ int k;\n")
+    code = lexer.code_lines(src, toks(src))
+    assert [len(c) for c in code] == [len(r) for r in src.splitlines()]
+    assert [c.split() for c in code] == [["long", "n", "=", "1'000;"],
+                                         ["auto", "r", "="],
+                                         [";"],
+                                         ["char", "c", "=", ";"],
+                                         ["int", "k;"]]
+
+
 # ---------------------------------------------------------------------------
 # scopes
 # ---------------------------------------------------------------------------

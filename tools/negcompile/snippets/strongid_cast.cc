@@ -1,4 +1,4 @@
-// static_cast between id spaces is banned (detlint strongid-cast outside
+// static_cast between id spaces is banned (fplint strongid-cast outside
 // core/) and, because the types share no conversion path, does not even
 // compile: uplink→spine goes through TopologyInfo::spine_of, not a cast.
 // expect-error: no matching|invalid|cannot convert
