@@ -8,16 +8,13 @@
 // shows its full drop rate at the leaf tier; a core↔spine fault shows its
 // full rate at the spine tier but only a 1/K-diluted echo at the leaf tier
 // — exactly why the paper proposes deploying monitors at both levels.
-#include <memory>
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "bench_common.h"
-#include "collective/runner.h"
-#include "flowpulse/three_level_system.h"
-#include "net/three_level.h"
-#include "transport/transport_layer.h"
+#include "exp/clos_scenario.h"
 
 using namespace flowpulse;
 
@@ -49,41 +46,23 @@ std::string verdict(double max_dev, const std::vector<fp::DetectionResult>& faul
 }
 
 Result run_case(int fault_tier, double drop) {
-  sim::Simulator sim{21};
-  net::ThreeLevelConfig cfg;
-  cfg.shape = net::ThreeLevelInfo{4, 4, 4, 1};  // 16 leaves, 16 pod-spines, 16 cores
-  net::ThreeLevelFatTree net{sim, cfg};
-  transport::TransportLayer transports{sim, net};
-  fp::ThreeLevelFlowPulse fps{net};
-
-  collective::CollectiveConfig cc;
-  for (const net::HostId h : core::ids<net::HostId>(net.num_hosts())) {
-    cc.hosts.push_back(h);
-  }
-  cc.schedule = collective::ring_reduce_scatter(
-      net.num_hosts(),
-      core::Bytes{static_cast<std::uint64_t>(24'000'000 * exp::env_scale())});
-  cc.iterations = 3;
-  collective::CollectiveRunner runner{sim, transports, std::move(cc)};
-
-  std::vector<net::HostId> hosts(net.num_hosts(), net::HostId{});
-  for (const net::HostId h : core::ids<net::HostId>(net.num_hosts())) hosts[h.v()] = h;
-  const auto demand = collective::DemandMatrix::from_schedule(runner.current_schedule(),
-                                                              hosts, net.num_hosts());
-  const fp::ThreeLevelAnalyticalModel model{net.info(), 4096, net::kHeaderBytes};
-  fps.set_prediction(model.predict(demand, net.routing()));
-
+  exp::ClosScenarioConfig cfg;
+  cfg.fabric.shape = net::ThreeLevelInfo{4, 4, 4, 1};  // 16 leaves, 16 pod-spines, 16 cores
+  cfg.collective_bytes =
+      core::Bytes{static_cast<std::uint64_t>(24'000'000 * exp::env_scale())};
+  cfg.iterations = 3;
+  cfg.max_jitter = sim::Time::zero();
+  cfg.seed = 21;
   if (fault_tier == 1) {
-    net.set_link_fault(net::LeafId{6}, net::UplinkIndex{2}, net::FaultSpec::random_drop(drop));
+    cfg.leaf_faults.push_back({net::LeafId{6}, 2, net::FaultSpec::random_drop(drop)});
   } else if (fault_tier == 2) {
-    net.set_core_link_fault(/*pod=*/1, /*spine=*/2, /*k=*/3,
-                            net::FaultSpec::random_drop(drop));
+    cfg.core_faults.push_back({/*pod=*/1, /*spine_index=*/2, /*k=*/3,
+                               net::FaultSpec::random_drop(drop)});
   }
+  exp::ClosScenario scenario{cfg};
+  scenario.run();
 
-  runner.start();
-  sim.run();
-  fps.flush();
-
+  fp::ThreeLevelFlowPulse& fps = scenario.flowpulse();
   Result r;
   for (const double d : fps.leaf_tier().per_iteration_max_dev()) {
     r.leaf_dev = std::max(r.leaf_dev, d);

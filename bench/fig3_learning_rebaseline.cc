@@ -7,25 +7,17 @@
 // load as a healed network (not a new fault), replace its baseline, and
 // accept subsequent iterations — while still alerting on a genuinely new
 // fault later in the run.
+#include <string_view>
+
 #include "bench_common.h"
 
 using namespace flowpulse;
 
 namespace {
 
-const char* kind_name(fp::LearnedModel::Outcome::Kind k) {
-  using Kind = fp::LearnedModel::Outcome::Kind;
-  switch (k) {
-    case Kind::kLearning:
-      return "learning";
-    case Kind::kOk:
-      return "ok";
-    case Kind::kAlert:
-      return "ALERT";
-    case Kind::kRebaseline:
-      return "REBASELINE";
-  }
-  return "?";
+const char* kind_name(const fp::DetectionResult& r) {
+  if (r.unjudged == nullptr) return r.faulty() ? "ALERT" : "ok";
+  return std::string_view{r.unjudged} == "learning" ? "learning" : "REBASELINE";
 }
 
 }  // namespace
@@ -57,21 +49,20 @@ int main() {
   exp::Table table({"iteration", "window", "port " + std::to_string(port.v()) + " bytes",
                     "port 9 bytes", "model outcome", "max dev"});
   const auto& history = scenario.flowpulse().monitor(leaf).history();
-  for (const auto& lo : result.learned) {
-    if (lo.leaf != leaf) continue;
+  for (const fp::DetectionResult& d : result.detections) {
+    if (d.leaf != leaf) continue;
     std::string window = "?";
-    if (lo.iteration.v() < result.iter_windows.size()) {
-      const auto& w = result.iter_windows[lo.iteration.v()];
+    if (d.iteration.v() < result.iter_windows.size()) {
+      const auto& w = result.iter_windows[d.iteration.v()];
       window = exp::fmt(w.first.us(), 0) + "-" + exp::fmt(w.second.us(), 0) + "us";
     }
     const fp::IterationRecord* rec = nullptr;
     for (const auto& r : history) {
-      if (r.iteration == lo.iteration) rec = &r;
+      if (r.iteration == d.iteration) rec = &r;
     }
-    table.row({std::to_string(lo.iteration.v()), window,
+    table.row({std::to_string(d.iteration.v()), window,
                rec ? exp::fmt(rec->bytes[port.v()], 0) : "-",
-               rec ? exp::fmt(rec->bytes[9], 0) : "-", kind_name(lo.outcome.kind),
-               exp::pct(lo.outcome.max_rel_dev)});
+               rec ? exp::fmt(rec->bytes[9], 0) : "-", kind_name(d), exp::pct(d.max_rel_dev)});
   }
   table.print();
 

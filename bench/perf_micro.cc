@@ -268,7 +268,7 @@ BENCHMARK(BM_FidelityModeIterations)
 void BM_StreamingDetectorObserve(benchmark::State& state) {
   // The O(1) streaming alternative to BM_DetectorEvaluate: judge + EWMA
   // fold of one 16-port iteration record, zero allocation.
-  fp::StreamingDetector det{net::LeafId{5}, 16, 32, fp::StreamingConfig{}};
+  fp::StreamingDetector det{net::LeafId{5}, 16, 32};
   fp::PortLoadMap pred{32, 16};
   for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(16)) {
     pred.add(net::LeafId{5}, u, net::LeafId{4}, 1.0e6);

@@ -118,8 +118,9 @@ class MitigationController {
   void set_rebaseline(Rebaseline fn) { rebaseline_ = std::move(fn); }
 
   /// Subscribe to `system`'s per-iteration results. Inherits the detection
-  /// threshold if the policy left it unset. kLearned systems never fire the
-  /// hook, so attaching to one is a no-op by construction.
+  /// threshold if the policy left it unset. exp::Scenario attaches a
+  /// controller only to fixed models (kAnalytical / kSimulation), whose
+  /// prediction its re-baseline re-runs.
   void attach(fp::FlowPulseSystem& system);
 
   /// Feed one evaluated (leaf × iteration) check. Called by the alert hook;

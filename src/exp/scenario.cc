@@ -9,6 +9,7 @@
 
 #include "exp/trials.h"
 #include "flowpulse/analytical_model.h"
+#include "flowpulse/learned_model.h"
 #include "obs/export.h"
 
 namespace flowpulse::exp {
@@ -165,10 +166,14 @@ void Scenario::build() {
   hybrid_active_ = config_.fidelity.mode != fp::FidelityMode::kPacket &&
                    prediction() != nullptr && config_.background.bytes == core::Bytes{0};
   if (hybrid_active_) {
+    // Relative sigma of the seeded multiplicative noise on synthesized
+    // per-port counters, so detector statistics stay honest: spray
+    // imbalance in packet runs is ~0.2% at paper scale.
+    constexpr double kSprayNoiseRel = 0.002;
     fp::FastForwardModel::Config ffc;
     ffc.mtu_payload = config_.transport.mtu_payload;
     ffc.header_bytes = net::kHeaderBytes;
-    ffc.noise_rel = config_.fidelity.noise_rel;
+    ffc.noise_rel = kSprayNoiseRel;
     ffc.seed = config_.seed ^ 0xf1de11ull;
     fastforward_ = std::make_unique<fp::FastForwardModel>(config_.fabric.shape, ffc);
     std::vector<fp::FastForwardModel::FlowFault> faults;
@@ -281,25 +286,18 @@ fp::PortLoadMap Scenario::simulation_prediction() const {
   Scenario inner{std::move(nested)};
   inner.run();
 
+  // Each leaf's load is the learned model's mean over all its records.
   const net::TopologyInfo& info = config_.fabric.shape;
   fp::PortLoadMap map{info.leaves, info.uplinks_per_leaf()};
   for (const net::LeafId l : core::ids<net::LeafId>(info.leaves)) {
     const auto& history = inner.flowpulse().monitor(l).history();
     if (history.empty()) continue;
-    for (const fp::IterationRecord& rec : history) {
-      for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(info.uplinks_per_leaf())) {
-        fp::PortLoad& load = map.at(l, u);
-        load.total += rec.bytes[u.v()];
-        for (const net::LeafId s : core::ids<net::LeafId>(info.leaves)) {
-          load.by_src_leaf[s.v()] += rec.by_src[u.v()][s.v()];
-        }
-      }
-    }
-    const double n = static_cast<double>(history.size());
+    fp::LearnedModel mean{info.uplinks_per_leaf(),
+                          {.learn_iterations = static_cast<std::uint32_t>(history.size())},
+                          config_.flowpulse.threshold};
+    for (const fp::IterationRecord& rec : history) (void)mean.observe(rec);
     for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(info.uplinks_per_leaf())) {
-      fp::PortLoad& load = map.at(l, u);
-      load.total /= n;
-      for (double& v : load.by_src_leaf) v /= n;
+      map.at(l, u) = mean.baseline()[u.v()];
     }
   }
   return map;
@@ -523,7 +521,6 @@ ScenarioResult Scenario::run() {
   r.data_valid = runner_->data_valid();
   r.per_iter_max_dev = flowpulse_->per_iteration_max_dev();
   r.detections = flowpulse_->results();
-  r.learned = flowpulse_->learned_outcomes();
   // Canonical (iteration, leaf) report order on EVERY path. The serial
   // engine finalizes leaf records in packet-arrival order, which is an
   // engine scheduling detail, not a result; sorting here makes serial and
@@ -531,14 +528,6 @@ ScenarioResult Scenario::run() {
   // content.
   std::stable_sort(r.detections.begin(), r.detections.end(),
                    [](const fp::DetectionResult& a, const fp::DetectionResult& b) {
-                     if (a.iteration.v() != b.iteration.v()) {
-                       return a.iteration.v() < b.iteration.v();
-                     }
-                     return a.leaf.v() < b.leaf.v();
-                   });
-  std::stable_sort(r.learned.begin(), r.learned.end(),
-                   [](const fp::FlowPulseSystem::LearnedOutcome& a,
-                      const fp::FlowPulseSystem::LearnedOutcome& b) {
                      if (a.iteration.v() != b.iteration.v()) {
                        return a.iteration.v() < b.iteration.v();
                      }

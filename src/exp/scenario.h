@@ -107,8 +107,7 @@ struct ScenarioResult {
   /// (start, end) of each completed iteration.
   std::vector<std::pair<sim::Time, sim::Time>> iter_windows;
 
-  std::vector<fp::DetectionResult> detections;  ///< every leaf × iteration check
-  std::vector<fp::FlowPulseSystem::LearnedOutcome> learned;
+  std::vector<fp::DetectionResult> detections;  ///< every leaf × iteration result
 
   /// Control-plane actions the MitigationController took, in order (empty
   /// when mitigation is disabled), plus its recovery milestones.

@@ -46,14 +46,14 @@ Localization localize(const IterationRecord& record, const PortLoad& predicted,
   return loc;
 }
 
-DetectionResult evaluate_record(const PortLoadMap& prediction, double threshold,
+DetectionResult evaluate_record(std::span<const PortLoad> expected, double threshold,
                                 const IterationRecord& record) {
   DetectionResult result;
   result.leaf = record.leaf;
   result.iteration = record.iteration;
-  const std::uint32_t uplinks = prediction.uplinks();
+  const auto uplinks = static_cast<std::uint32_t>(expected.size());
   for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks)) {
-    const PortLoad& pred = prediction.at(record.leaf, u);
+    const PortLoad& pred = expected[u.v()];
     const double observed = record.bytes[u.v()];
     const double dev = relative_deviation(observed, pred.total);
     result.max_rel_dev = std::max(result.max_rel_dev, dev);

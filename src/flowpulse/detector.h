@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "flowpulse/monitor.h"
@@ -32,12 +33,15 @@ struct PortAlert {
   Localization localization;
 };
 
-/// Result of checking one finalized iteration at one leaf.
+/// Result of one finalized iteration at one leaf.
 struct DetectionResult {
   net::LeafId leaf{};
   net::IterIndex iteration{};
   double max_rel_dev = 0.0;  ///< across all ports (for threshold sweeps)
   std::vector<PortAlert> alerts;
+  /// Why the iteration raised no alert without being judged, as a static
+  /// string ("learning", "re-learning"); nullptr when it was judged.
+  const char* unjudged = nullptr;
   [[nodiscard]] bool faulty() const { return !alerts.empty(); }
 };
 
@@ -56,10 +60,18 @@ struct DetectionResult {
 [[nodiscard]] Localization localize(const IterationRecord& record, const PortLoad& predicted,
                                     net::UplinkIndex uplink, double threshold);
 
-/// Check one finalized iteration against a prediction: any port whose
-/// relative deviation exceeds `threshold` raises a localized alert.
-[[nodiscard]] DetectionResult evaluate_record(const PortLoadMap& prediction, double threshold,
-                                              const IterationRecord& record);
+/// Check one finalized iteration against its row's expected loads, one
+/// PortLoad per port: any port whose relative deviation exceeds `threshold`
+/// raises a localized alert.
+[[nodiscard]] DetectionResult evaluate_record(std::span<const PortLoad> expected,
+                                              double threshold, const IterationRecord& record);
+
+/// The same check against the record's row of `prediction`.
+[[nodiscard]] inline DetectionResult evaluate_record(const PortLoadMap& prediction,
+                                                     double threshold,
+                                                     const IterationRecord& record) {
+  return evaluate_record(prediction.row(record.leaf), threshold, record);
+}
 
 /// The culprit rule: calls `visit(net::LinkId)` for each link one port
 /// alert at `leaf` blames, allocating nothing. A shortfall localized

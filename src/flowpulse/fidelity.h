@@ -42,12 +42,6 @@ enum class FidelityMode : std::uint8_t {
 /// controller judges during a probation window at packet fidelity.
 struct FidelityPolicy {
   FidelityMode mode = FidelityMode::kPacket;
-
-  /// Relative sigma of the deterministic multiplicative noise applied to
-  /// synthesized per-port counters, so detector statistics stay honest
-  /// (spray imbalance in packet runs is ~0.2% at paper scale). Set to 0
-  /// for exact analytical counters.
-  double noise_rel = 0.002;
 };
 
 /// What the hybrid engine actually did during a run — the fidelity

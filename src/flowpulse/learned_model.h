@@ -6,23 +6,23 @@
 #include "flowpulse/detector.h"
 #include "flowpulse/monitor.h"
 #include "flowpulse/port_load.h"
-#include "net/types.h"
 
 namespace flowpulse::fp {
 
-/// Learning-based load prediction for one leaf (paper §5.2 "Learning").
+/// Learning-based load model for one row (paper §5.2 "Learning").
 ///
-/// The expected per-port load is simply measured over the first
-/// `learn_iterations` of the collective. The caveat the paper highlights
-/// (Fig. 3): a *transient* fault present during learning poisons the
-/// baseline; when it heals, the traffic re-balances more evenly across the
-/// ports. The model recognizes that signature — deviating ports move
+/// The expected load of each port, one PortLoad per port (total and per
+/// sender), is the mean of the row's first `learn_iterations` records.
+/// Later records are judged against that baseline by evaluate_record at
+/// `threshold`, the system's detection threshold (SystemConfig::threshold),
+/// exactly as the fixed models' predictions are. The caveat the paper
+/// highlights (Fig. 3): a *transient* fault present during learning poisons
+/// the baseline; when it heals, the traffic re-balances more evenly across
+/// the ports. The model recognizes that signature — deviating ports move
 /// *upward* and the dispersion (coefficient of variation) across active
-/// ports shrinks — and re-learns the baseline instead of alerting.
-/// A new fault shows the opposite signature (a port drops, dispersion
-/// grows) and is reported as an alert. A port deviates when its relative
-/// deviation from the baseline exceeds `threshold`, the system's detection
-/// threshold (SystemConfig::threshold).
+/// ports shrinks — and re-learns the baseline instead of alerting. A new
+/// fault shows the opposite signature (a port drops, dispersion grows) and
+/// keeps its alerts.
 class LearnedModel {
  public:
   struct Config {
@@ -31,33 +31,18 @@ class LearnedModel {
 
   enum class Phase : std::uint8_t { kLearning, kMonitoring };
 
-  struct Outcome {
-    enum class Kind : std::uint8_t {
-      kLearning,    ///< sample absorbed into the (re-)baseline
-      kOk,          ///< within threshold of the baseline
-      kAlert,       ///< deviation consistent with a new fault
-      kRebaseline,  ///< deviation consistent with a healed fault; re-learning
-    };
-    Kind kind = Kind::kOk;
-    double max_rel_dev = 0.0;
-    std::vector<net::UplinkIndex> deviating_ports;
-    /// For kAlert: localization of each deviating port from the learned
-    /// per-sender baselines (same Fig. 4 logic as the fixed models).
-    std::vector<Localization> localizations;
-  };
-
   LearnedModel(std::uint32_t uplinks, Config config, double threshold);
 
-  /// Feed one finalized iteration; returns what the model concluded.
-  Outcome observe(const IterationRecord& record);
+  /// Feed one finalized iteration. A learning iteration is returned
+  /// unjudged "learning" (max_rel_dev 0); one that shows the healing
+  /// signature is returned unjudged "re-learning", its alerts cleared and
+  /// its deviation kept, and starts the new baseline.
+  [[nodiscard]] DetectionResult observe(const IterationRecord& record);
 
   [[nodiscard]] Phase phase() const { return phase_; }
-  [[nodiscard]] const std::vector<double>& baseline() const { return baseline_; }
-  /// Learned per-sender expectation of port `u` (empty before the first
+  /// The learned expected load of each port (empty before the first
   /// baseline is complete).
-  [[nodiscard]] const std::vector<double>& baseline_by_src(net::UplinkIndex u) const {
-    return baseline_by_src_[u.v()];
-  }
+  [[nodiscard]] const std::vector<PortLoad>& baseline() const { return baseline_; }
   [[nodiscard]] std::uint32_t rebaseline_count() const { return rebaseline_count_; }
 
   /// Coefficient of variation across ports with non-zero baseline traffic.
@@ -72,11 +57,10 @@ class LearnedModel {
   double threshold_;
   Phase phase_ = Phase::kLearning;
   std::uint32_t samples_ = 0;
-  std::vector<double> sum_;       // accumulating learning samples
-  std::vector<std::vector<double>> sum_by_src_;  // [uplink][src leaf]
-  std::vector<double> baseline_;  // per-uplink expected bytes
-  std::vector<std::vector<double>> baseline_by_src_;
-  double baseline_cv_ = 0.0;
+  std::vector<PortLoad> sum_;       ///< accumulating learning samples
+  std::vector<PortLoad> baseline_;  ///< per-port expected load
+  double baseline_cv_ = 0.0;        ///< dispersion of the baseline totals
+  double baseline_floor_ = 0.0;     ///< smallest active baseline total
   std::uint32_t rebaseline_count_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/types.h"
@@ -38,6 +39,12 @@ class PortLoadMap {
   }
   [[nodiscard]] const PortLoad& at(net::LeafId leaf, net::UplinkIndex u) const {
     return loads_[static_cast<std::size_t>(leaf.v()) * uplinks_ + u.v()];
+  }
+
+  /// Row `leaf`'s PortLoads, one per port in port order.
+  [[nodiscard]] std::span<const PortLoad> row(net::LeafId leaf) const {
+    return std::span<const PortLoad>{loads_}.subspan(
+        static_cast<std::size_t>(leaf.v()) * uplinks_, uplinks_);
   }
 
   void add(net::LeafId dst_leaf, net::UplinkIndex u, net::LeafId src_leaf, double bytes) {

@@ -6,11 +6,10 @@
 namespace flowpulse::fp {
 
 StreamingDetector::StreamingDetector(net::LeafId leaf, std::uint32_t uplinks,
-                                     std::uint32_t leaves, StreamingConfig config)
+                                     std::uint32_t leaves)
     : leaf_{leaf},
       uplinks_{uplinks},
       leaves_{leaves},
-      config_{config},
       ports_(uplinks),
       src_mean_(static_cast<std::size_t>(uplinks) * leaves, 0.0) {}
 
@@ -19,7 +18,7 @@ void StreamingDetector::seed(const PortLoadMap& prediction) {
     const PortLoad& load = prediction.at(leaf_, u);
     PortStat& st = ports_[u.v()];
     st.state = PortState::kTrack;
-    st.samples = config_.warmup_iterations;
+    st.samples = kWarmupIterations;
     st.mean = load.total;
     st.var = 0.0;  // the floor takes over until measured variance exists
     for (const net::LeafId s : core::ids<net::LeafId>(leaves_)) {
@@ -49,14 +48,14 @@ DetectionResult StreamingDetector::observe(const IterationRecord& record) {
         for (std::uint32_t s = 0; s < leaves_; ++s) src[s] = record.by_src[u.v()][s];
       } else {
         const double diff = x - st.mean;
-        const double incr = config_.alpha * diff;
+        const double incr = kAlpha * diff;
         st.mean += incr;
-        st.var = (1.0 - config_.alpha) * (st.var + diff * incr);
+        st.var = (1.0 - kAlpha) * (st.var + diff * incr);
         for (std::uint32_t s = 0; s < leaves_; ++s) {
-          src[s] += config_.alpha * (record.by_src[u.v()][s] - src[s]);
+          src[s] += kAlpha * (record.by_src[u.v()][s] - src[s]);
         }
       }
-      if (++st.samples >= config_.warmup_iterations) st.state = PortState::kTrack;
+      if (++st.samples >= kWarmupIterations) st.state = PortState::kTrack;
       continue;
     }
 
@@ -89,11 +88,11 @@ DetectionResult StreamingDetector::observe(const IterationRecord& record) {
     }
 
     st.state = PortState::kTrack;
-    const double incr = config_.alpha * diff;
+    const double incr = kAlpha * diff;
     st.mean += incr;
-    st.var = (1.0 - config_.alpha) * (st.var + diff * incr);
+    st.var = (1.0 - kAlpha) * (st.var + diff * incr);
     for (std::uint32_t s = 0; s < leaves_; ++s) {
-      src[s] += config_.alpha * (record.by_src[u.v()][s] - src[s]);
+      src[s] += kAlpha * (record.by_src[u.v()][s] - src[s]);
     }
     ++st.samples;
   }

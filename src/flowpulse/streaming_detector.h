@@ -11,20 +11,12 @@
 
 namespace flowpulse::fp {
 
-/// Knobs of the closed-state streaming detector.
-struct StreamingConfig {
-  /// EWMA weight of the newest sample for both mean and variance.
-  double alpha = 0.25;
-  /// Iterations absorbed before judging, when no prior was seeded.
-  std::uint32_t warmup_iterations = 3;
-};
-
 /// O(1)-state streaming detector: one EWMA mean/variance pair per monitored
 /// port plus one EWMA mean per (port, sender) for localization — no history
 /// buffers, no per-iteration allocation (asserted by state_bytes() staying
 /// constant in tests). The baseline is either seeded from a PortLoadMap
 /// prediction (model-driven, alert-ready from iteration 0) or learned
-/// in-band over `warmup_iterations` (model-free).
+/// in-band over kWarmupIterations (model-free).
 ///
 /// Judgement happens BEFORE the update, against West's EWMA variance
 /// recursion:  diff = x − mean;  incr = α·diff;  mean += incr;
@@ -34,6 +26,10 @@ struct StreamingConfig {
 /// the envelope.
 class StreamingDetector {
  public:
+  /// EWMA weight of the newest sample for both mean and variance.
+  static constexpr double kAlpha = 0.25;
+  /// Iterations absorbed before judging, when no prior was seeded.
+  static constexpr std::uint32_t kWarmupIterations = 3;
   /// A port alerts when |observed − mean| exceeds this many EWMA sigmas...
   static constexpr double kZThreshold = 4.0;
   /// ...AND this relative deviation (keeps a near-zero variance estimate
@@ -42,8 +38,7 @@ class StreamingDetector {
   /// Variance floor, as a fraction of the mean: sigma >= kVarFloorRel·mean.
   static constexpr double kVarFloorRel = 1e-3;
 
-  StreamingDetector(net::LeafId leaf, std::uint32_t uplinks, std::uint32_t leaves,
-                    StreamingConfig config);
+  StreamingDetector(net::LeafId leaf, std::uint32_t uplinks, std::uint32_t leaves);
 
   /// Seed every port's mean (and per-sender means) from a model prediction;
   /// variance collapses onto the floor and warmup is skipped. Called on
@@ -60,7 +55,6 @@ class StreamingDetector {
   /// proof tests pin this across arbitrarily long runs.
   [[nodiscard]] std::size_t state_bytes() const;
 
-  [[nodiscard]] const StreamingConfig& config() const { return config_; }
   [[nodiscard]] net::LeafId leaf() const { return leaf_; }
   /// Current EWMA mean of a port (the "prediction" its alerts carry).
   [[nodiscard]] double mean(net::UplinkIndex u) const { return ports_[u.v()].mean; }
@@ -79,7 +73,6 @@ class StreamingDetector {
   net::LeafId leaf_;
   std::uint32_t uplinks_;
   std::uint32_t leaves_;
-  StreamingConfig config_;
   std::vector<PortStat> ports_;       ///< fixed size: uplinks
   std::vector<double> src_mean_;      ///< fixed size: uplinks × leaves
 };

@@ -19,8 +19,7 @@ FlowPulseSystem::FlowPulseSystem(const Tier& tier, SystemConfig config)
           std::make_unique<LearnedModel>(tier_.ports, config_.learned, config_.threshold));
     }
     if (config_.detector == DetectorKind::kStreaming) {
-      streaming_.push_back(std::make_unique<StreamingDetector>(l, tier_.ports, tier_.senders,
-                                                               StreamingConfig{}));
+      streaming_.push_back(std::make_unique<StreamingDetector>(l, tier_.ports, tier_.senders));
     }
   }
 }
@@ -41,19 +40,18 @@ void FlowPulseSystem::on_finalized(const IterationRecord& record) {
     FP_TRACE(trace_sim, kIteration, "", record.leaf.v(), 0, record.iteration.v(), 0.0,
              "finalized");
   }
+  const std::uint32_t row = record.leaf.v();
   if (config_.model == ModelKind::kLearned) {
-    learned_outcomes_.push_back(LearnedOutcome{record.leaf, record.iteration,
-                                               learned_[record.leaf.v()]->observe(record)});
-    return;
-  }
-  const PortLoadMap* expected = prediction();
-  if (config_.model == ModelKind::kDynamic) {
-    expected = provider_ ? provider_(record.iteration) : nullptr;
+    publish(learned_[row]->observe(record));
+  } else if (config_.model == ModelKind::kDynamic) {
+    if (const PortLoadMap* expected = provider_ ? provider_(record.iteration) : nullptr) {
+      publish(evaluate_record(*expected, config_.threshold, record));
+    }
   } else if (config_.detector == DetectorKind::kStreaming) {
-    publish(streaming_[record.leaf.v()]->observe(record));
-    return;
+    publish(streaming_[row]->observe(record));
+  } else if (prediction_) {
+    publish(evaluate_record(*prediction_, config_.threshold, record));
   }
-  if (expected != nullptr) publish(evaluate_record(*expected, config_.threshold, record));
 }
 
 void FlowPulseSystem::publish(DetectionResult result) {
@@ -118,12 +116,10 @@ void FlowPulseSystem::flush() {
 
 std::vector<double> FlowPulseSystem::per_iteration_max_dev() const {
   std::vector<double> devs;
-  auto note = [&devs](net::IterIndex iteration, double dev) {
-    if (iteration.v() >= devs.size()) devs.resize(iteration.v() + 1, 0.0);
-    devs[iteration.v()] = std::max(devs[iteration.v()], dev);
-  };
-  for (const DetectionResult& r : results_) note(r.iteration, r.max_rel_dev);
-  for (const LearnedOutcome& o : learned_outcomes_) note(o.iteration, o.outcome.max_rel_dev);
+  for (const DetectionResult& r : results_) {
+    if (r.iteration.v() >= devs.size()) devs.resize(r.iteration.v() + 1, 0.0);
+    devs[r.iteration.v()] = std::max(devs[r.iteration.v()], r.max_rel_dev);
+  }
   return devs;
 }
 

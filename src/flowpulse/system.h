@@ -47,10 +47,11 @@ struct SystemConfig {
 ///
 /// For kAnalytical / kSimulation, install the prediction with
 /// set_prediction() before the run; every finalized iteration is judged
-/// against it with evaluate_record() (kDynamic: against the provider's
-/// prediction) and collected in results(). For kLearned, each row owns a
-/// LearnedModel, judging at the same threshold, whose outcomes are
-/// collected in learned_outcomes().
+/// against it with evaluate_record(). kDynamic judges against the
+/// provider's prediction, and kLearned against each row's LearnedModel
+/// baseline, with the same rule at the same threshold. Every result, judged
+/// or unjudged (DetectionResult::unjudged), leaves through one tail:
+/// results(), the trace and the alert hook.
 ///
 /// The detection core needs only the tier's shape, so any substrate can
 /// feed it:
@@ -92,13 +93,13 @@ class FlowPulseSystem {
     provider_ = std::move(provider);
   }
 
-  /// Observer of every evaluated (leaf × iteration) check, fired eagerly as
+  /// Observer of every (leaf × iteration) result, fired eagerly as
   /// monitors finalize iterations mid-run — the subscription point for
   /// closed-loop consumers (ctrl::MitigationController). Fires for clean
   /// results too: probation/debounce logic needs to see iterations that did
-  /// NOT alert. Not invoked in kLearned mode (no DetectionResult there).
-  /// The hook may re-arm the system via set_prediction() (re-baselining);
-  /// the result it received stays valid for the duration of the call.
+  /// NOT alert. The hook may re-arm the system via set_prediction()
+  /// (re-baselining); the result it received stays valid for the duration
+  /// of the call.
   using AlertHook = std::function<void(const DetectionResult&)>;
   void set_alert_hook(AlertHook hook) { alert_hook_ = std::move(hook); }
 
@@ -122,21 +123,12 @@ class FlowPulseSystem {
   /// fast-forwarded iterations here; the monitors never see them.
   void ingest(const IterationRecord& record) { on_finalized(record); }
 
-  /// Every evaluated (leaf × iteration) check, in finalize order.
+  /// Every (leaf × iteration) result, in finalize order.
   [[nodiscard]] const std::vector<DetectionResult>& results() const { return results_; }
   /// Drop collected results. Streaming consumers (the daemon's verdict
   /// accumulator subscribes via the alert hook) call this after every
   /// ingest so detection memory stays flat over unbounded counter streams.
   void clear_results() { results_.clear(); }
-  /// Learned-model outcomes (kLearned mode), in finalize order.
-  struct LearnedOutcome {
-    net::LeafId leaf;
-    net::IterIndex iteration;
-    LearnedModel::Outcome outcome;
-  };
-  [[nodiscard]] const std::vector<LearnedOutcome>& learned_outcomes() const {
-    return learned_outcomes_;
-  }
 
   /// Largest relative deviation seen at iteration `i` across all leaves;
   /// the raw statistic threshold sweeps (ROC) classify on.
@@ -163,7 +155,6 @@ class FlowPulseSystem {
   AlertHook alert_hook_;
   std::vector<std::unique_ptr<LearnedModel>> learned_;
   std::vector<DetectionResult> results_;
-  std::vector<LearnedOutcome> learned_outcomes_;
   bool deferred_ = false;
   /// Per-row count of history records already replayed by deferred flushes.
   std::vector<std::size_t> replayed_;

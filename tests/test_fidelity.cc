@@ -29,7 +29,6 @@ namespace {
 
 using fp::DetectionResult;
 using fp::IterationRecord;
-using fp::StreamingConfig;
 using fp::StreamingDetector;
 
 // ---------------------------------------------------------------------------
@@ -55,7 +54,7 @@ double noise(std::uint64_t& state) {
 }
 
 TEST(StreamingDetector, StateIsConstantSizeAcrossLongRuns) {
-  StreamingDetector det{net::LeafId{0}, 2, 2, StreamingConfig{}};
+  StreamingDetector det{net::LeafId{0}, 2, 2};
   std::uint64_t s = 42;
   // Absorb warmup, then record the state footprint.
   for (std::uint32_t i = 0; i < 5; ++i) {
@@ -69,10 +68,7 @@ TEST(StreamingDetector, StateIsConstantSizeAcrossLongRuns) {
 }
 
 TEST(StreamingDetector, EwmaMatchesBruteForceReference) {
-  StreamingConfig cfg;
-  cfg.alpha = 0.25;
-  cfg.warmup_iterations = 1;
-  StreamingDetector det{net::LeafId{0}, 2, 2, cfg};
+  StreamingDetector det{net::LeafId{0}, 2, 2};
   std::uint64_t s = 7;
   std::vector<double> xs;
   for (std::uint32_t i = 0; i < 64; ++i) {
@@ -80,10 +76,11 @@ TEST(StreamingDetector, EwmaMatchesBruteForceReference) {
     xs.push_back(x);
     (void)det.observe(make_record(i, x, 1e6));
   }
-  // Brute-force EWMA mean: full weighted sum over the entire history.
+  // Brute-force EWMA mean: full weighted sum over the entire history. Warmup
+  // and tracking fold a sample the same way, and 0.1% noise never alerts.
   double ref_mean = xs[0];
   for (std::size_t i = 1; i < xs.size(); ++i) {
-    ref_mean = ref_mean + cfg.alpha * (xs[i] - ref_mean);
+    ref_mean = ref_mean + StreamingDetector::kAlpha * (xs[i] - ref_mean);
   }
   EXPECT_NEAR(det.mean(net::UplinkIndex{0}), ref_mean, 1e-6 * ref_mean);
   // The EWMA variance of iid noise with sigma must land near sigma^2
@@ -96,8 +93,7 @@ TEST(StreamingDetector, EwmaMatchesBruteForceReference) {
 }
 
 TEST(StreamingDetector, FlagsShortfallWhereWindowedReferenceDoes) {
-  StreamingConfig cfg;
-  StreamingDetector det{net::LeafId{0}, 2, 2, cfg};
+  StreamingDetector det{net::LeafId{0}, 2, 2};
   std::uint64_t s = 3;
   std::vector<double> history;
   // Healthy phase: no alerts once warmed up.
@@ -129,7 +125,7 @@ TEST(StreamingDetector, FlagsShortfallWhereWindowedReferenceDoes) {
 }
 
 TEST(StreamingDetector, AlertFreezesBaselineAgainstPoisoning) {
-  StreamingDetector det{net::LeafId{0}, 2, 2, StreamingConfig{}};
+  StreamingDetector det{net::LeafId{0}, 2, 2};
   std::uint64_t s = 11;
   for (std::uint32_t i = 0; i < 20; ++i) {
     (void)det.observe(make_record(i, 1e6 * (1.0 + 0.002 * noise(s)), 1e6));
@@ -148,7 +144,7 @@ TEST(StreamingDetector, SeededPredictionAlertsFromIterationZero) {
   fp::PortLoadMap prediction{2, 2};
   prediction.add(net::LeafId{0}, net::UplinkIndex{0}, net::LeafId{1}, 1e6);
   prediction.add(net::LeafId{0}, net::UplinkIndex{1}, net::LeafId{1}, 1e6);
-  StreamingDetector det{net::LeafId{0}, 2, 2, StreamingConfig{}};
+  StreamingDetector det{net::LeafId{0}, 2, 2};
   det.seed(prediction);
   const DetectionResult r = det.observe(make_record(0, 0.9e6, 1e6));
   ASSERT_TRUE(r.faulty());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -354,26 +355,32 @@ IterationRecord uniform_record(std::uint32_t uplinks, double bytes, std::uint32_
   return r;
 }
 
+/// What the learned model made of one record: "learning" or "re-learning"
+/// when it was not judged, else "alert" or "ok".
+std::string kind(const DetectionResult& r) {
+  if (r.unjudged != nullptr) return r.unjudged;
+  return r.faulty() ? "alert" : "ok";
+}
+
 TEST(LearnedModel, LearnsBaselineThenAccepts) {
   LearnedModel m{4, {.learn_iterations = 3}, 0.01};
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(m.observe(uniform_record(4, 1000.0)).kind,
-              LearnedModel::Outcome::Kind::kLearning);
+    EXPECT_EQ(kind(m.observe(uniform_record(4, 1000.0))), "learning");
   }
   EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
-  EXPECT_EQ(m.observe(uniform_record(4, 1004.0)).kind, LearnedModel::Outcome::Kind::kOk);
-  EXPECT_DOUBLE_EQ(m.baseline()[0], 1000.0);
+  EXPECT_EQ(kind(m.observe(uniform_record(4, 1004.0))), "ok");
+  EXPECT_DOUBLE_EQ(m.baseline()[0].total, 1000.0);
 }
 
 TEST(LearnedModel, AlertsOnNewFaultSignature) {
   LearnedModel m{4, {.learn_iterations = 2}, 0.01};
-  m.observe(uniform_record(4, 1000.0));
-  m.observe(uniform_record(4, 1000.0));
+  (void)m.observe(uniform_record(4, 1000.0));
+  (void)m.observe(uniform_record(4, 1000.0));
   IterationRecord faulty = uniform_record(4, 1010.0);  // others pick up retx
   faulty.bytes[2] = 940.0;                             // port 2 drops 6%
-  const auto out = m.observe(faulty);
-  EXPECT_EQ(out.kind, LearnedModel::Outcome::Kind::kAlert);
-  ASSERT_FALSE(out.deviating_ports.empty());
+  const DetectionResult out = m.observe(faulty);
+  EXPECT_EQ(kind(out), "alert");
+  ASSERT_FALSE(out.alerts.empty());
 }
 
 TEST(LearnedModel, RebaselinesWhenTransientFaultHeals) {
@@ -382,20 +389,19 @@ TEST(LearnedModel, RebaselinesWhenTransientFaultHeals) {
   LearnedModel m{4, {.learn_iterations = 2}, 0.01};
   IterationRecord poisoned = uniform_record(4, 1020.0);
   poisoned.bytes[1] = 900.0;
-  m.observe(poisoned);
-  m.observe(poisoned);
+  (void)m.observe(poisoned);
+  (void)m.observe(poisoned);
   EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
 
   const IterationRecord healed = uniform_record(4, 1000.0);
-  const auto out = m.observe(healed);
-  EXPECT_EQ(out.kind, LearnedModel::Outcome::Kind::kRebaseline);
+  EXPECT_EQ(kind(m.observe(healed)), "re-learning");
   EXPECT_EQ(m.rebaseline_count(), 1u);
 
   // After the re-learning window, the healthy load is the new baseline.
-  m.observe(healed);
+  (void)m.observe(healed);
   EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
-  EXPECT_DOUBLE_EQ(m.baseline()[1], 1000.0);
-  EXPECT_EQ(m.observe(uniform_record(4, 1000.0)).kind, LearnedModel::Outcome::Kind::kOk);
+  EXPECT_DOUBLE_EQ(m.baseline()[1].total, 1000.0);
+  EXPECT_EQ(kind(m.observe(uniform_record(4, 1000.0))), "ok");
 }
 
 TEST(LearnedModel, DispersionIgnoresDeadPorts) {
@@ -411,31 +417,32 @@ TEST(LearnedModel, AlertsCarryLocalizationFromLearnedPerSenderBaseline) {
   IterationRecord base;
   base.bytes = {1000.0, 1000.0};
   base.by_src = {{600.0, 400.0}, {600.0, 400.0}};
-  m.observe(base);
-  m.observe(base);
+  (void)m.observe(base);
+  (void)m.observe(base);
   ASSERT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
-  EXPECT_DOUBLE_EQ(m.baseline_by_src(net::UplinkIndex{0})[0], 600.0);
-  EXPECT_DOUBLE_EQ(m.baseline_by_src(net::UplinkIndex{1})[1], 400.0);
+  EXPECT_DOUBLE_EQ(m.baseline()[0].by_src_leaf[0], 600.0);
+  EXPECT_DOUBLE_EQ(m.baseline()[1].by_src_leaf[1], 400.0);
 
   // Port 0 loses ONLY sender 1's traffic → remote verdict naming leaf 1.
   IterationRecord faulty = base;
   faulty.bytes[0] = 920.0;
   faulty.by_src[0] = {600.0, 320.0};
-  const auto out = m.observe(faulty);
-  ASSERT_EQ(out.kind, LearnedModel::Outcome::Kind::kAlert);
-  ASSERT_EQ(out.deviating_ports.size(), 1u);
-  ASSERT_EQ(out.localizations.size(), 1u);
-  EXPECT_EQ(out.localizations[0].verdict, Localization::Verdict::kRemoteLinks);
-  EXPECT_EQ(out.localizations[0].suspect_senders, std::vector<net::LeafId>{net::LeafId{1}});
+  const DetectionResult out = m.observe(faulty);
+  ASSERT_EQ(kind(out), "alert");
+  ASSERT_EQ(out.alerts.size(), 1u);
+  EXPECT_EQ(out.alerts[0].uplink, net::UplinkIndex{0});
+  EXPECT_EQ(out.alerts[0].localization.verdict, Localization::Verdict::kRemoteLinks);
+  EXPECT_EQ(out.alerts[0].localization.suspect_senders,
+            std::vector<net::LeafId>{net::LeafId{1}});
 
   // Both senders short → local link verdict.
   IterationRecord local = base;
   local.bytes[1] = 900.0;
   local.by_src[1] = {540.0, 360.0};
-  const auto out2 = m.observe(local);
-  ASSERT_EQ(out2.kind, LearnedModel::Outcome::Kind::kAlert);
-  ASSERT_EQ(out2.localizations.size(), 1u);
-  EXPECT_EQ(out2.localizations[0].verdict, Localization::Verdict::kLocalLink);
+  const DetectionResult out2 = m.observe(local);
+  ASSERT_EQ(kind(out2), "alert");
+  ASSERT_EQ(out2.alerts.size(), 1u);
+  EXPECT_EQ(out2.alerts[0].localization.verdict, Localization::Verdict::kLocalLink);
 }
 
 TEST(FlowPulseSystem, LearnedModelJudgesAtTheSystemThreshold) {
@@ -454,23 +461,60 @@ TEST(FlowPulseSystem, LearnedModelJudgesAtTheSystemThreshold) {
   shortfall.iteration = net::IterIndex{3};
   shortfall.bytes[2] = shortfall.by_src[2][0] = 940.0;
   system.ingest(shortfall);
-  const std::vector<FlowPulseSystem::LearnedOutcome>& outcomes = system.learned_outcomes();
-  ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_EQ(outcomes[2].outcome.kind, LearnedModel::Outcome::Kind::kOk);
-  EXPECT_NEAR(outcomes[2].outcome.max_rel_dev, 0.02, 1e-12);
-  EXPECT_EQ(outcomes[3].outcome.kind, LearnedModel::Outcome::Kind::kAlert);
+  const std::vector<DetectionResult>& results = system.results();
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(kind(results[2]), "ok");
+  EXPECT_NEAR(results[2].max_rel_dev, 0.02, 1e-12);
+  EXPECT_EQ(kind(results[3]), "alert");
+}
+
+TEST(FlowPulseSystem, LearnedModelPublishesOneResultPerRecord) {
+  // Every ingested record leaves through the one tail (results and alert
+  // hook): learning and healed iterations unjudged, the rest judged.
+  SystemConfig cfg;
+  cfg.model = ModelKind::kLearned;
+  cfg.learned.learn_iterations = 2;
+  FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
+  std::vector<std::string> hooked;
+  system.set_alert_hook([&hooked](const DetectionResult& r) { hooked.push_back(kind(r)); });
+  // Learned under a fault that suppresses port 1...
+  IterationRecord poisoned = uniform_record(4, 1020.0, 0);
+  poisoned.bytes[1] = poisoned.by_src[1][0] = 900.0;
+  system.ingest(poisoned);
+  poisoned.iteration = net::IterIndex{1};
+  system.ingest(poisoned);
+  // ...which then heals: re-learning from this record on.
+  for (std::uint32_t i = 2; i < 5; ++i) system.ingest(uniform_record(4, 1000.0, i));
+
+  const std::vector<DetectionResult>& results = system.results();
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_EQ(hooked, (std::vector<std::string>{"learning", "learning", "re-learning",
+                                               "learning", "ok"}));
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(results[i].iteration, net::IterIndex{i});
+    EXPECT_EQ(kind(results[i]), hooked[i]);
+  }
+  EXPECT_EQ(results[0].max_rel_dev, 0.0);
+  EXPECT_EQ(results[1].max_rel_dev, 0.0);
+  // The healed iteration raised no alert but keeps its deviation: port 1
+  // carried 1000 B against a learned 900 B.
+  EXPECT_FALSE(results[2].faulty());
+  EXPECT_NEAR(results[2].max_rel_dev, 100.0 / 900.0, 1e-12);
+  EXPECT_TRUE(system.faulty_results().empty());
+  EXPECT_EQ(system.per_iteration_max_dev(),
+            (std::vector<double>{0.0, 0.0, results[2].max_rel_dev, 0.0, 0.0}));
 }
 
 TEST(LearnedModel, NewFaultAfterRebaselineStillAlerts) {
   LearnedModel m{2, {.learn_iterations = 1}, 0.01};
   IterationRecord poisoned = uniform_record(2, 1000.0);
   poisoned.bytes[0] = 800.0;
-  m.observe(poisoned);                        // baseline (fault present)
-  m.observe(uniform_record(2, 1000.0));       // heals → rebaseline sample
+  (void)m.observe(poisoned);                   // baseline (fault present)
+  (void)m.observe(uniform_record(2, 1000.0));  // heals → rebaseline sample
   EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
   IterationRecord faulty = uniform_record(2, 1000.0);
   faulty.bytes[1] = 900.0;
-  EXPECT_EQ(m.observe(faulty).kind, LearnedModel::Outcome::Kind::kAlert);
+  EXPECT_EQ(kind(m.observe(faulty)), "alert");
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 // the suite stays fast; the bench binaries run paper scale).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string_view>
+
 #include "baseline/spatial_symmetry.h"
 #include "exp/metrics.h"
 #include "exp/scenario.h"
 #include "exp/trials.h"
+#include "golden_scenario.h"
 
 namespace flowpulse::exp {
 namespace {
@@ -208,12 +212,15 @@ TEST(Scenario, LearnedModelDetectsMidRunFault) {
   const ScenarioResult r = s.run();
   EXPECT_EQ(r.iterations_completed, 8u);
   bool alerted = false;
-  for (const auto& lo : r.learned) {
-    if (lo.leaf == net::LeafId{4} && lo.outcome.kind == fp::LearnedModel::Outcome::Kind::kAlert) {
-      alerted = true;
-    }
+  for (const fp::DetectionResult& d : r.detections) {
+    if (d.leaf == net::LeafId{4} && d.faulty()) alerted = true;
   }
   EXPECT_TRUE(alerted);
+}
+
+/// A learned result that re-learned its baseline instead of alerting.
+bool relearned(const fp::DetectionResult& d) {
+  return d.unjudged != nullptr && std::string_view{d.unjudged} == "re-learning";
 }
 
 TEST(Scenario, LearnedModelRebaselinesAfterTransientFault) {
@@ -229,28 +236,47 @@ TEST(Scenario, LearnedModelRebaselinesAfterTransientFault) {
   Scenario s{cfg};
   const ScenarioResult r = s.run();
   bool rebaselined = false;
-  for (const auto& lo : r.learned) {
-    if (lo.leaf == net::LeafId{4} &&
-        lo.outcome.kind == fp::LearnedModel::Outcome::Kind::kRebaseline) {
-      rebaselined = true;
-    }
+  for (const fp::DetectionResult& d : r.detections) {
+    if (d.leaf == net::LeafId{4} && relearned(d)) rebaselined = true;
   }
   EXPECT_TRUE(rebaselined);
   // After re-baselining, the healthy iterations must be accepted again.
   bool ok_after = false;
   std::uint32_t rebaseline_iter = 0;
-  for (const auto& lo : r.learned) {
-    if (lo.leaf == net::LeafId{4} && lo.outcome.kind == fp::LearnedModel::Outcome::Kind::kRebaseline) {
-      rebaseline_iter = lo.iteration.v();
-    }
+  for (const fp::DetectionResult& d : r.detections) {
+    if (d.leaf == net::LeafId{4} && relearned(d)) rebaseline_iter = d.iteration.v();
   }
-  for (const auto& lo : r.learned) {
-    if (lo.leaf == net::LeafId{4} && lo.iteration.v() > rebaseline_iter + 2 &&
-        lo.outcome.kind == fp::LearnedModel::Outcome::Kind::kOk) {
+  for (const fp::DetectionResult& d : r.detections) {
+    if (d.leaf == net::LeafId{4} && d.iteration.v() > rebaseline_iter + 2 &&
+        d.unjudged == nullptr && !d.faulty()) {
       ok_after = true;
     }
   }
   EXPECT_TRUE(ok_after);
+}
+
+TEST(Scenario, SimulationModelPredictionIsPinned) {
+  // The simulation-based model installs the mean of a nested fault-free
+  // run's records, bit for bit. Two hosts per leaf and a known failure give
+  // the ports several senders and uneven shares.
+  ScenarioConfig cfg = small_scenario();
+  cfg.flowpulse.model = fp::ModelKind::kSimulation;
+  cfg.fabric.shape.hosts_per_leaf = 2;
+  cfg.preexisting.emplace_back(net::LeafId{2}, net::UplinkIndex{1});
+  const Scenario s{cfg};
+  const fp::PortLoadMap* prediction = s.prediction();
+  ASSERT_NE(prediction, nullptr);
+  std::ostringstream text;
+  text << std::hexfloat;
+  for (const net::LeafId l : core::ids<net::LeafId>(prediction->leaves())) {
+    for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(prediction->uplinks())) {
+      const fp::PortLoad& load = prediction->at(l, u);
+      text << load.total << ':';
+      for (const double v : load.by_src_leaf) text << v << ',';
+      text << ';';
+    }
+  }
+  EXPECT_EQ(testing::fnv1a64(text.str()), 2212169527490193183ull);
 }
 
 TEST(Scenario, FullRingAllReduceAlsoMonitorable) {

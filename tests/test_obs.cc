@@ -538,5 +538,68 @@ TEST(TraceE2E, FlowFidelityRunIsTraced) {
   EXPECT_TRUE(flagged_faulted_link);
 }
 
+TEST(TraceE2E, LearnedModelAlertsReachEveryOutput) {
+  // A learned-model run whose 5% drop starts after learning: its alerts
+  // leave through the same tail as a fixed model's, so they reach the
+  // results, faulty_results(), the alert report, the trace and its dumps.
+  exp::ScenarioConfig cfg;
+  cfg.fabric.shape = net::TopologyInfo{8, 4, 1, 1};
+  cfg.collective_bytes = core::Bytes{8ull << 20};
+  cfg.iterations = 8;
+  cfg.seed = 1;
+  cfg.flowpulse.model = fp::ModelKind::kLearned;
+  cfg.flowpulse.learned.learn_iterations = 3;
+  exp::NewFault f;
+  f.leaf = net::LeafId{4};
+  f.uplink = net::UplinkIndex{2};
+  f.where = exp::NewFault::Where::kDownlink;
+  f.spec = net::FaultSpec::random_drop(0.05, sim::Time::microseconds(600));
+  cfg.new_faults.push_back(f);
+  cfg.trace.level = TraceLevel::kEvents;
+  cfg.trace.capacity = 1 << 16;
+  exp::Scenario s{cfg};
+  const exp::ScenarioResult r = s.run();
+  ASSERT_EQ(r.trace_dropped, 0u);
+
+  // One result per leaf and iteration; the learning window is unjudged.
+  ASSERT_EQ(r.detections.size(), std::size_t{8} * cfg.iterations);
+  std::size_t faulty = 0;
+  for (const fp::DetectionResult& d : r.detections) {
+    faulty += d.faulty() ? 1 : 0;
+    if (d.iteration.v() < 3) {
+      EXPECT_STREQ(d.unjudged, "learning");
+    }
+  }
+  const std::vector<fp::DetectionResult> alerted = s.flowpulse().faulty_results();
+  ASSERT_FALSE(alerted.empty());
+  EXPECT_EQ(alerted.size(), faulty);
+  std::size_t alerted_ports = 0;
+  bool named_faulted_link = false;
+  for (const fp::DetectionResult& d : alerted) {
+    alerted_ports += d.alerts.size();
+    for (const fp::PortAlert& a : d.alerts) {
+      named_faulted_link |= d.leaf == net::LeafId{4} && a.uplink == net::UplinkIndex{2};
+    }
+  }
+  EXPECT_TRUE(named_faulted_link);
+
+  const std::string report = exp::alerts_to_json(alerted);
+  EXPECT_TRUE(testjson::valid_json(report));
+  EXPECT_NE(report.find("\"leaf\":4,\"iteration\":3,\"port\":2"), std::string::npos);
+
+  // One detector flag per alerted port, the faulted link among them, and an
+  // automatic dump of the flagged iterations.
+  std::size_t flags = 0;
+  bool flagged_faulted_link = false;
+  for (const TraceEvent& e : r.trace_events) {
+    if (e.kind != EventKind::kDetectorFlag) continue;
+    ++flags;
+    flagged_faulted_link |= e.a == 4 && e.b == 2;
+  }
+  EXPECT_EQ(flags, alerted_ports);
+  EXPECT_TRUE(flagged_faulted_link);
+  EXPECT_FALSE(r.trace_dumps.empty());
+}
+
 }  // namespace
 }  // namespace flowpulse::obs

@@ -22,7 +22,7 @@ comment and literal blanked out.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 # Token kinds.
 ID = "id"          # identifiers and keywords
@@ -49,6 +49,11 @@ _PUNCTUATORS = [
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "=", "<", ">",
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}", "#", "\\",
 ]
+
+# Each first character's candidates, in _PUNCTUATORS order (longest first).
+_PUNCT_BY_FIRST: Dict[str, Tuple[str, ...]] = {
+    c: tuple(p for p in _PUNCTUATORS if p[0] == c) for c in {p[0] for p in _PUNCTUATORS}
+}
 
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
@@ -189,7 +194,7 @@ def tokenize(text: str) -> List[Token]:
             continue
 
         # -- punctuators ---------------------------------------------------
-        for p in _PUNCTUATORS:
+        for p in _PUNCT_BY_FIRST.get(c, ()):
             if text.startswith(p, i):
                 toks.append(Token(PUNCT, p, start_line, start_col, in_pp))
                 col += len(p)
