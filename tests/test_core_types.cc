@@ -267,6 +267,24 @@ TEST(GoldenScenario, HierarchicalRingReportBitIdentical) {
   EXPECT_EQ(testing::report_hash(cfg), 6139614249852298571ull);
 }
 
+// The golden run under the other detector and under the learned model: the
+// two paths that have their own per-row state. Mitigation is on in the
+// golden config, so the streaming pin also covers re-seeding the baselines
+// on each controller re-baseline. (The learned model installs no
+// prediction, so it runs without the controller.)
+
+TEST(GoldenScenario, StreamingDetectorReportBitIdentical) {
+  exp::ScenarioConfig cfg = testing::golden_scenario_config();
+  cfg.flowpulse.detector = fp::DetectorKind::kStreaming;
+  EXPECT_EQ(testing::report_hash(cfg), 9725208844004571441ull);
+}
+
+TEST(GoldenScenario, LearnedModelReportBitIdentical) {
+  exp::ScenarioConfig cfg = testing::golden_scenario_config();
+  cfg.flowpulse.model = fp::ModelKind::kLearned;
+  EXPECT_EQ(testing::report_hash(cfg), 10698973787793213642ull);
+}
+
 TEST(GoldenScenario, BackgroundJobReportBitIdentical) {
   // A second, untagged job on the same hosts: both runners draw message ids
   // from one transport per host, so each host's ids interleave across jobs.
