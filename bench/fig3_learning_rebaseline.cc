@@ -29,7 +29,7 @@ int main() {
 
   exp::ScenarioConfig cfg = bench::paper_setup(16ull << 20, 12);
   cfg.flowpulse.model = fp::ModelKind::kLearned;
-  cfg.flowpulse.learned.learn_iterations = 3;
+  cfg.flowpulse.learn_iterations = 3;
   cfg.flowpulse.threshold = 0.01;
 
   const net::LeafId leaf{12};

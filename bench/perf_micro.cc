@@ -16,7 +16,7 @@
 #include "flowpulse/detector.h"
 #include "flowpulse/fidelity.h"
 #include "flowpulse/monitor.h"
-#include "flowpulse/streaming_detector.h"
+#include "flowpulse/system.h"
 #include "net/fat_tree.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -266,14 +266,15 @@ BENCHMARK(BM_FidelityModeIterations)
     ->UseRealTime();
 
 void BM_StreamingDetectorObserve(benchmark::State& state) {
-  // The O(1) streaming alternative to BM_DetectorEvaluate: judge + EWMA
-  // fold of one 16-port iteration record, zero allocation.
-  fp::StreamingDetector det{net::LeafId{5}, 16, 32};
+  // The O(1) streaming alternative to BM_DetectorEvaluate: a row under the
+  // z-rule judges and EWMA-folds one 16-port iteration record, allocating
+  // nothing but its result.
+  fp::RowBaseline det{16, {.detector = fp::DetectorKind::kStreaming}};
   fp::PortLoadMap pred{32, 16};
   for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(16)) {
     pred.add(net::LeafId{5}, u, net::LeafId{4}, 1.0e6);
   }
-  det.seed(pred);
+  det.install(pred.row(net::LeafId{5}));
   fp::IterationRecord rec;
   rec.leaf = net::LeafId{5};
   rec.bytes.assign(16, 1.0e6);
@@ -451,8 +452,10 @@ void BM_DetectorEvaluate(benchmark::State& state) {
   rec.bytes.assign(16, 1.0e6);
   rec.by_src.assign(16, std::vector<double>(32, 0.0));
   for (auto& v : rec.by_src) v[4] = 1.0e6;
+  fp::RowBaseline row{16, {.threshold = 0.01}};
+  row.install(pred.row(net::LeafId{5}));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fp::evaluate_record(pred, 0.01, rec));
+    benchmark::DoNotOptimize(row.observe(rec));
   }
   state.SetItemsProcessed(state.iterations());
 }

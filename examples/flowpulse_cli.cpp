@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "daemon/flags.h"
 #include "daemon/stream_file.h"
@@ -106,10 +107,11 @@ topology:   --leaves=N --spines=N --hosts-per-leaf=N --parallel=N
 workload:   --collective=ring|allreduce|allgather|alltoall|hier
             --bytes=N --iters=N --jitter-us=F
 detection:  --model=analytical|simulation|learned
-            --detector=threshold|streaming       (O(1) EWMA z-score detector)
-            --threshold=F                        (relative deviation that alerts
-            under --detector=threshold and --model=learned; streaming
-            judges by its own rule)
+            --detector=threshold|streaming       (the rule each port is judged
+            by, under every model; streaming is the O(1) EWMA z-score rule)
+            --threshold=F                        (relative deviation above 0
+            that alerts under --detector=threshold, whatever the model;
+            streaming judges by its own bounds)
 fidelity:   --fidelity=packet|hybrid|flow        (hybrid fast-forwards healthy
             iterations analytically and drops to packets around faults)
 faults:     --preexisting=N                      (known disconnected links)
@@ -120,6 +122,23 @@ output:     --json=FILE --alerts=FILE --csv=FILE
             flowpulsed wire format, replayable via flowpulse-bench --stream)
 misc:       --seed=N
 )";
+}
+
+// Each iteration's verdict over its rows' results: FAULT when one alerted,
+// ok when one was judged, else why none was ("learning", "re-learning").
+std::vector<std::string> iteration_verdicts(const exp::ScenarioResult& result) {
+  std::vector<std::string> verdicts(result.per_iter_max_dev.size());
+  for (const fp::DetectionResult& d : result.detections) {
+    std::string& v = verdicts[d.iteration.v()];
+    if (d.faulty()) {
+      v = "FAULT";
+    } else if (d.unjudged == nullptr) {
+      if (v != "FAULT") v = "ok";
+    } else if (v.empty()) {
+      v = d.unjudged;
+    }
+  }
+  return verdicts;
 }
 
 }  // namespace
@@ -167,6 +186,10 @@ int main(int argc, char** argv) {
                                                   {"blackhole", FaultKind::kBlackHole},
                                                   {"gilbert", FaultKind::kGilbertElliott}});
 
+  if (o.threshold <= 0.0) refuse("--threshold must be above 0");
+  if (o.drop < 0.0 || o.drop > 1.0) refuse("--drop must be within [0, 1]");
+  if (o.iters == 0) refuse("--iters must be at least 1");
+  if (o.jitter_us < 0.0) refuse("--jitter-us must not be negative");
   const net::TopologyInfo& shape = cfg.fabric.shape;
   if (shape.leaves == 0 || shape.spines == 0 || shape.hosts_per_leaf == 0 ||
       shape.parallel == 0) {
@@ -202,9 +225,10 @@ int main(int argc, char** argv) {
   const exp::ScenarioResult result = scenario.run();
 
   exp::Table table({"iteration", "max port deviation", "verdict"});
-  for (std::size_t i = 0; i < result.per_iter_max_dev.size(); ++i) {
+  const std::vector<std::string> verdicts = iteration_verdicts(result);
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
     table.row({std::to_string(i), exp::pct(result.per_iter_max_dev[i]),
-               result.per_iter_max_dev[i] > o.threshold ? "FAULT" : "ok"});
+               verdicts[i].empty() ? "-" : verdicts[i]});
   }
   table.print();
   std::cout << result.iterations_completed << " iterations, "

@@ -73,8 +73,9 @@ void usage() {
       "                       fabric shape (must match clients' HELLO)\n"
       "  --job=N              monitored job id (default 0)\n"
       "  --detector=KIND      streaming | threshold (default streaming)\n"
-      "  --threshold=F        relative-deviation threshold of --detector=threshold\n"
-      "                       (default 0.01; streaming judges by its own rule)\n"
+      "  --threshold=F        relative-deviation threshold of --detector=threshold,\n"
+      "                       above 0 (default 0.01; streaming judges by its own\n"
+      "                       bounds)\n"
       "  --shard-index=I --shard-count=N\n"
       "                       cluster mode: own leaves [I*L/N, (I+1)*L/N)");
 }
@@ -103,6 +104,10 @@ int main(int argc, char** argv) {
   }
   if (o.detector != "streaming" && o.detector != "threshold") {
     std::fprintf(stderr, "flowpulsed: --detector must be streaming|threshold\n");
+    return 2;
+  }
+  if (o.threshold <= 0.0) {
+    std::fprintf(stderr, "flowpulsed: --threshold must be above 0\n");
     return 2;
   }
   if (o.topo.leaves == 0 || o.topo.spines == 0 || o.topo.hosts_per_leaf == 0 ||

@@ -9,7 +9,6 @@
 
 #include "exp/trials.h"
 #include "flowpulse/analytical_model.h"
-#include "flowpulse/learned_model.h"
 #include "obs/export.h"
 
 namespace flowpulse::exp {
@@ -292,9 +291,9 @@ fp::PortLoadMap Scenario::simulation_prediction() const {
   for (const net::LeafId l : core::ids<net::LeafId>(info.leaves)) {
     const auto& history = inner.flowpulse().monitor(l).history();
     if (history.empty()) continue;
-    fp::LearnedModel mean{info.uplinks_per_leaf(),
-                          {.learn_iterations = static_cast<std::uint32_t>(history.size())},
-                          config_.flowpulse.threshold};
+    fp::RowBaseline mean{info.uplinks_per_leaf(),
+                         {.model = fp::ModelKind::kLearned,
+                          .learn_iterations = static_cast<std::uint32_t>(history.size())}};
     for (const fp::IterationRecord& rec : history) (void)mean.observe(rec);
     for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(info.uplinks_per_leaf())) {
       map.at(l, u) = mean.baseline()[u.v()];

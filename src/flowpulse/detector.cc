@@ -1,7 +1,5 @@
 #include "flowpulse/detector.h"
 
-#include <algorithm>
-
 namespace flowpulse::fp {
 
 Localization localize(const IterationRecord& record, const PortLoad& predicted,
@@ -44,30 +42,6 @@ Localization localize(const IterationRecord& record, const PortLoad& predicted,
     loc.suspect_senders.clear();
   }
   return loc;
-}
-
-DetectionResult evaluate_record(std::span<const PortLoad> expected, double threshold,
-                                const IterationRecord& record) {
-  DetectionResult result;
-  result.leaf = record.leaf;
-  result.iteration = record.iteration;
-  const auto uplinks = static_cast<std::uint32_t>(expected.size());
-  for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks)) {
-    const PortLoad& pred = expected[u.v()];
-    const double observed = record.bytes[u.v()];
-    const double dev = relative_deviation(observed, pred.total);
-    result.max_rel_dev = std::max(result.max_rel_dev, dev);
-    if (dev > threshold) {
-      PortAlert alert;
-      alert.uplink = u;
-      alert.observed = observed;
-      alert.predicted = pred.total;
-      alert.rel_dev = dev;
-      alert.localization = localize(record, pred, u, threshold);
-      result.alerts.push_back(std::move(alert));
-    }
-  }
-  return result;
 }
 
 }  // namespace flowpulse::fp

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "flowpulse/monitor.h"
@@ -24,7 +23,7 @@ struct Localization {
   std::vector<net::LeafId> suspect_senders;
 };
 
-/// One port whose observed volume deviated beyond the threshold.
+/// One port its row's rule alerted on (RowBaseline).
 struct PortAlert {
   net::UplinkIndex uplink{};
   double observed = 0.0;
@@ -59,19 +58,6 @@ struct DetectionResult {
 /// prediction by more than `threshold` (relative).
 [[nodiscard]] Localization localize(const IterationRecord& record, const PortLoad& predicted,
                                     net::UplinkIndex uplink, double threshold);
-
-/// Check one finalized iteration against its row's expected loads, one
-/// PortLoad per port: any port whose relative deviation exceeds `threshold`
-/// raises a localized alert.
-[[nodiscard]] DetectionResult evaluate_record(std::span<const PortLoad> expected,
-                                              double threshold, const IterationRecord& record);
-
-/// The same check against the record's row of `prediction`.
-[[nodiscard]] inline DetectionResult evaluate_record(const PortLoadMap& prediction,
-                                                     double threshold,
-                                                     const IterationRecord& record) {
-  return evaluate_record(prediction.row(record.leaf), threshold, record);
-}
 
 /// The culprit rule: calls `visit(net::LinkId)` for each link one port
 /// alert at `leaf` blames, allocating nothing. A shortfall localized

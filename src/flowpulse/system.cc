@@ -1,11 +1,193 @@
 #include "flowpulse/system.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace flowpulse::fp {
 
+namespace {
+
+// Smallest non-zero load (0 when every port is silent).
+double min_active(const std::vector<double>& loads) {
+  double m = std::numeric_limits<double>::infinity();
+  for (const double x : loads) {
+    if (x > 0.0 && x < m) m = x;
+  }
+  return std::isinf(m) ? 0.0 : m;
+}
+
+// The z-rule on one port: `x` lies more than kZThreshold sigmas from the
+// EWMA mean (sigma floored at kVarFloorRel of the mean) and more than
+// kMinRelDev away relative to it.
+bool z_alerts(double x, double mean, double variance, double rel) {
+  const double floor = RowBaseline::kVarFloorRel * mean;
+  const double sigma = std::sqrt(std::max(variance, floor * floor));
+  const double diff = x - mean;
+  const double z = sigma > 0.0 ? diff / sigma
+                               : (diff == 0.0 ? 0.0 : std::numeric_limits<double>::infinity());
+  return std::fabs(z) > RowBaseline::kZThreshold && rel > RowBaseline::kMinRelDev;
+}
+
+}  // namespace
+
+void RowBaseline::install(std::span<const PortLoad> expected) {
+  for (PortStat& st : stats_) st = PortStat{.phase = Phase::kTracking};
+  if (config_.detector == DetectorKind::kThreshold) {
+    installed_ = expected;
+    return;
+  }
+  installed_ = {};
+  std::copy(expected.begin(), expected.end(), expected_.begin());
+}
+
+void RowBaseline::start_learning() {
+  installed_ = {};
+  for (PortStat& st : stats_) st = PortStat{};
+}
+
+void RowBaseline::fold(net::UplinkIndex u, const IterationRecord& record) {
+  PortLoad& mean = expected_[u.v()];
+  PortStat& st = stats_[u.v()];
+  const double diff = record.bytes[u.v()] - mean.total;
+  const double incr = kAlpha * diff;
+  mean.total += incr;
+  st.variance = (1.0 - kAlpha) * (st.variance + diff * incr);
+  const std::vector<double>& by_src = record.by_src[u.v()];
+  for (std::size_t s = 0; s < mean.by_src_leaf.size(); ++s) {
+    mean.by_src_leaf[s] += kAlpha * (by_src[s] - mean.by_src_leaf[s]);
+  }
+  ++st.samples;
+}
+
+void RowBaseline::learn(const IterationRecord& record) {
+  const bool learned = config_.model == ModelKind::kLearned;
+  for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(ports())) {
+    PortLoad& expected = expected_[u.v()];
+    PortStat& st = stats_[u.v()];
+    const std::vector<double>& by_src = record.by_src[u.v()];
+    if (!learned) {
+      // The z-rule's in-band warm-up: the first sample seeds the EWMA.
+      if (st.samples == 0) {
+        expected.total = record.bytes[u.v()];
+        expected.by_src_leaf.assign(by_src.begin(), by_src.end());
+        ++st.samples;
+      } else {
+        fold(u, record);
+      }
+      if (st.samples >= kWarmupIterations) st.phase = Phase::kTracking;
+      continue;
+    }
+    // The learned mean: sum the samples, divide once they are all in.
+    if (st.samples == 0) {
+      expected.total = 0.0;
+      expected.by_src_leaf.assign(by_src.size(), 0.0);
+    }
+    expected.total += record.bytes[u.v()];
+    for (std::size_t s = 0; s < expected.by_src_leaf.size(); ++s) {
+      expected.by_src_leaf[s] += by_src[s];
+    }
+    ++st.samples;
+  }
+  if (!learned || stats_.empty() || stats_.front().samples < config_.learn_iterations) return;
+  const double n = static_cast<double>(stats_.front().samples);
+  std::vector<double> totals;
+  totals.reserve(expected_.size());
+  for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(ports())) {
+    PortLoad& expected = expected_[u.v()];
+    expected.total /= n;
+    for (double& v : expected.by_src_leaf) v /= n;
+    totals.push_back(expected.total);
+    stats_[u.v()].phase = Phase::kTracking;
+  }
+  baseline_cv_ = dispersion(totals);
+  baseline_floor_ = min_active(totals);
+}
+
+DetectionResult RowBaseline::observe(const IterationRecord& record) {
+  DetectionResult result;
+  result.leaf = record.leaf;
+  result.iteration = record.iteration;
+  if (!stats_.empty() && stats_.front().phase == Phase::kLearning) {
+    learn(record);
+    result.unjudged = "learning";
+    return result;
+  }
+
+  const bool z_rule = config_.detector == DetectorKind::kStreaming;
+  // The rule's relative bound: what a sender must fall short by to be
+  // suspected, and how far the weakest port may sink and still be healed.
+  const double bound = z_rule ? kMinRelDev : config_.threshold;
+  const std::span<const PortLoad> expected = baseline();
+  for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(ports())) {
+    const PortLoad& load = expected[u.v()];
+    PortStat& st = stats_[u.v()];
+    const double x = record.bytes[u.v()];
+    const double rel = relative_deviation(x, load.total);
+    result.max_rel_dev = std::max(result.max_rel_dev, rel);
+    const bool alerted = z_rule ? z_alerts(x, load.total, st.variance, rel)
+                                : rel > config_.threshold;
+    if (alerted) {
+      PortAlert& alert = result.alerts.emplace_back();
+      alert.uplink = u;
+      alert.observed = x;
+      alert.predicted = load.total;
+      alert.rel_dev = rel;
+      alert.localization = localize(record, load, u, bound);
+    }
+    if (!z_rule) continue;  // the threshold rule never changes the baseline
+    st.phase = alerted ? Phase::kHolding : Phase::kTracking;
+    if (!alerted) fold(u, record);
+  }
+  if (config_.model != ModelKind::kLearned || !result.faulty()) return result;
+
+  // Healing signature (Fig. 3): the load re-balances *more evenly* than the
+  // fault-poisoned baseline, and the weakest active port improved — i.e. no
+  // new hole appeared. A new fault shows the opposite: a port sinks below
+  // anything in the baseline and dispersion grows.
+  // Re-baseline when dispersion shrinks by at least this factor while all
+  // deviating ports gained traffic.
+  constexpr double kHealingCvMargin = 0.05;
+  const bool weakest_improved = min_active(record.bytes) >= baseline_floor_ * (1.0 - bound);
+  if (weakest_improved && dispersion(record.bytes) < baseline_cv_ * (1.0 - kHealingCvMargin)) {
+    result.alerts.clear();
+    result.unjudged = "re-learning";
+    ++rebaseline_count_;
+    start_learning();
+    // The healed iteration itself is the first sample of the new baseline.
+    learn(record);
+  }
+  return result;
+}
+
+std::size_t RowBaseline::state_bytes() const {
+  std::size_t bytes = sizeof(*this) + expected_.capacity() * sizeof(PortLoad) +
+                      stats_.capacity() * sizeof(PortStat);
+  for (const PortLoad& load : expected_) bytes += load.by_src_leaf.capacity() * sizeof(double);
+  return bytes;
+}
+
+double RowBaseline::dispersion(const std::vector<double>& loads) {
+  double mean = 0.0;
+  std::uint32_t n = 0;
+  for (const double v : loads) {
+    if (v > 0.0) {
+      mean += v;
+      ++n;
+    }
+  }
+  if (n < 2) return 0.0;
+  mean /= n;
+  double var = 0.0;
+  for (const double v : loads) {
+    if (v > 0.0) var += (v - mean) * (v - mean);
+  }
+  var /= n;
+  return std::sqrt(var) / mean;
+}
+
 FlowPulseSystem::FlowPulseSystem(const Tier& tier, SystemConfig config)
-    : tier_{tier}, config_{config} {
+    : tier_{tier}, config_{config}, rows_(tier.rows, RowBaseline{tier.ports, config}) {
   monitors_.reserve(tier_.rows);
   for (const net::LeafId l : core::ids<net::LeafId>(tier_.rows)) {
     monitors_.push_back(std::make_unique<PortMonitor>(l, tier_, config_.job));
@@ -14,22 +196,17 @@ FlowPulseSystem::FlowPulseSystem(const Tier& tier, SystemConfig config)
       // per-lane history; evaluation waits for the coordinator's flush().
       if (!deferred_) on_finalized(r);
     });
-    if (config_.model == ModelKind::kLearned) {
-      learned_.push_back(
-          std::make_unique<LearnedModel>(tier_.ports, config_.learned, config_.threshold));
-    }
-    if (config_.detector == DetectorKind::kStreaming) {
-      streaming_.push_back(std::make_unique<StreamingDetector>(l, tier_.ports, tier_.senders));
-    }
   }
 }
 
 void FlowPulseSystem::set_prediction(PortLoadMap prediction) {
-  // Streaming detectors re-seed their EWMA baselines from each installed
-  // prediction (arm and every controller re-baseline alike), so a routing
-  // change does not register as a deviation.
-  for (auto& s : streaming_) s->seed(prediction);
   prediction_ = std::move(prediction);
+  // Every row takes its slice, on arm and on every controller re-baseline
+  // alike; the z-rule re-seeds its EWMA from it, so a routing change does
+  // not register as a deviation.
+  for (const net::LeafId l : core::ids<net::LeafId>(tier_.rows)) {
+    rows_[l.v()].install(prediction_->row(l));
+  }
 }
 
 void FlowPulseSystem::on_finalized(const IterationRecord& record) {
@@ -40,18 +217,13 @@ void FlowPulseSystem::on_finalized(const IterationRecord& record) {
     FP_TRACE(trace_sim, kIteration, "", record.leaf.v(), 0, record.iteration.v(), 0.0,
              "finalized");
   }
-  const std::uint32_t row = record.leaf.v();
-  if (config_.model == ModelKind::kLearned) {
-    publish(learned_[row]->observe(record));
-  } else if (config_.model == ModelKind::kDynamic) {
-    if (const PortLoadMap* expected = provider_ ? provider_(record.iteration) : nullptr) {
-      publish(evaluate_record(*expected, config_.threshold, record));
-    }
-  } else if (config_.detector == DetectorKind::kStreaming) {
-    publish(streaming_[row]->observe(record));
-  } else if (prediction_) {
-    publish(evaluate_record(*prediction_, config_.threshold, record));
+  RowBaseline& row = rows_[record.leaf.v()];
+  if (config_.model == ModelKind::kDynamic) {
+    const PortLoadMap* expected = provider_ ? provider_(record.iteration) : nullptr;
+    if (expected == nullptr) return;  // this iteration's demand is not known
+    row.install(expected->row(record.leaf));
   }
+  if (row.ready()) publish(row.observe(record));
 }
 
 void FlowPulseSystem::publish(DetectionResult result) {

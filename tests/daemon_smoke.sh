@@ -51,7 +51,8 @@ echo "== flag values that do not parse, fit, or make a runnable setup are refuse
 # --port=0 keeps a daemon that wrongly accepted the value off the default
 # port; the timeout ends it.
 for bad in --port=70000 --leaves=abc --leaves=-1 --leaves=0 --spines=0 \
-           --hosts-per-leaf=0 --parallel=0 --max-connections=-1; do
+           --hosts-per-leaf=0 --parallel=0 --max-connections=-1 --threshold=0 \
+           --threshold=-1; do
   rc=0
   timeout 10 "$DAEMON" --port=0 "$bad" >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || { echo "daemon_smoke: flowpulsed $bad exited $rc, want 2" >&2; exit 1; }
@@ -61,13 +62,27 @@ done
 # short.
 for bad in "--fault-leaf=9 --drop=0.1" "--fault-spine=5 --drop=0.1" --leaves=0 \
            "--leaves=1 --collective=alltoall" --collective=x --model=x --spray=x \
-           --fidelity=x --detector=x --fault-kind=x; do
+           --fidelity=x --detector=x --fault-kind=x --threshold=0 --threshold=-1 \
+           --drop=2 --drop=-0.5 --iters=0 --jitter-us=-1; do
   rc=0
   # shellcheck disable=SC2086  # word-split $bad into its flags
   timeout 60 "$CLI" --leaves=4 --spines=2 --iters=1 --bytes=65536 $bad >/dev/null 2>&1 ||
     rc=$?
   [ "$rc" -eq 2 ] || { echo "daemon_smoke: flowpulse_cli $bad exited $rc, want 2" >&2; exit 1; }
 done
+
+echo "== the CLI's verdict column agrees with its alerts (learned model) =="
+# The learned model re-learns at iteration 6 here: a result that keeps its
+# deviation and raises no alert. A FAULT row must come with an alert.
+"$CLI" --leaves=8 --spines=4 --bytes=8000000 --iters=8 --model=learned \
+       --fault-leaf=4 --fault-spine=2 --drop=0.05 --seed=1 \
+       --alerts="$WORK/learned_alerts.json" >"$WORK/learned.txt"
+if grep -q "FAULT" "$WORK/learned.txt" &&
+   [ "$(tr -d '[:space:]' <"$WORK/learned_alerts.json")" = "[]" ]; then
+  echo "daemon_smoke: flowpulse_cli reads FAULT with no alert:" >&2
+  cat "$WORK/learned.txt" >&2
+  exit 1
+fi
 
 echo "== single daemon: replay + verdict + clean shutdown =="
 "$DAEMON" --port=0 --port-file="$WORK/fp.port" --leaves=32 --spines=16 &

@@ -14,13 +14,15 @@ namespace {
 struct DynamicRig {
   explicit DynamicRig(std::uint64_t seed, std::uint32_t iterations,
                       std::vector<std::pair<net::LeafId, net::UplinkIndex>> preexisting = {},
-                      std::vector<exp::NewFault> faults = {}) {
+                      std::vector<exp::NewFault> faults = {},
+                      DetectorKind rule = DetectorKind::kThreshold) {
     exp::ScenarioConfig cfg;
     cfg.fabric.shape = net::TopologyInfo{4, 2, 1, 1};
     cfg.collective = collective::CollectiveKind::kAllToAll;
     cfg.collective_bytes = core::Bytes{12ull << 20};  // placeholder; generator overrides
     cfg.iterations = 0;                  // we drive our own runner
     cfg.flowpulse.model = ModelKind::kDynamic;
+    cfg.flowpulse.detector = rule;
     cfg.preexisting = std::move(preexisting);
     cfg.new_faults = std::move(faults);
     cfg.seed = seed;
@@ -101,13 +103,16 @@ TEST(DynamicModel, KnownFaultPlusSelfCongestionSkewsAnalyticalSplit) {
   EXPECT_LT(worst, 0.30);
 }
 
-TEST(DynamicModel, DetectsSilentFaultUnderChangingDemand) {
+/// A 5% drop under per-iteration random demand is flagged as a shortfall
+/// on the faulted port under `rule`. The z-rule judges each iteration's
+/// installed prediction with its spread reset, i.e. at its floor.
+void detects_silent_fault_under_changing_demand(DetectorKind rule) {
   exp::NewFault f;
   f.leaf = net::LeafId{1};
   f.uplink = net::UplinkIndex{0};
   f.where = exp::NewFault::Where::kDownlink;
   f.spec = net::FaultSpec::random_drop(0.05);
-  DynamicRig rig{17, 3, {}, {f}};
+  DynamicRig rig{17, 3, {}, {f}, rule};
   rig.run();
   bool flagged = false;
   for (const DetectionResult& r : rig.scenario->flowpulse().results()) {
@@ -117,6 +122,13 @@ TEST(DynamicModel, DetectsSilentFaultUnderChangingDemand) {
     }
   }
   EXPECT_TRUE(flagged);
+}
+
+TEST(DynamicModel, DetectsSilentFaultUnderChangingDemand) {
+  for (const DetectorKind rule : {DetectorKind::kThreshold, DetectorKind::kStreaming}) {
+    SCOPED_TRACE(rule == DetectorKind::kStreaming ? "streaming" : "threshold");
+    detects_silent_fault_under_changing_demand(rule);
+  }
 }
 
 }  // namespace

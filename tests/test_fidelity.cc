@@ -1,9 +1,10 @@
 // Hybrid-fidelity engine + O(1) streaming detector.
 //
 // Three contracts are pinned here:
-//  * StreamingDetector is closed-state: judging arbitrarily many iterations
-//    allocates nothing after construction, its EWMA/z-score math matches a
-//    brute-force reference, and an alerting port freezes its baseline.
+//  * A row baseline under the z-rule is closed-state: judging arbitrarily
+//    many iterations allocates nothing once warmed up, its EWMA/z-score
+//    math matches a brute-force reference, and an alerting port holds its
+//    baseline.
 //  * Hybrid mode is verdict-equivalent to packet mode: same flagged
 //    iteration (±1), same localized link, same final mitigation action — on
 //    both golden scenarios and a seeded fault sweep.
@@ -21,7 +22,7 @@
 
 #include "exp/scenario.h"
 #include "flowpulse/fastforward.h"
-#include "flowpulse/streaming_detector.h"
+#include "flowpulse/system.h"
 #include "golden_scenario.h"
 
 namespace flowpulse {
@@ -29,11 +30,13 @@ namespace {
 
 using fp::DetectionResult;
 using fp::IterationRecord;
-using fp::StreamingDetector;
+using fp::RowBaseline;
 
 // ---------------------------------------------------------------------------
-// Streaming detector unit tests
+// Streaming detector unit tests: one row judged by the z-rule
 // ---------------------------------------------------------------------------
+
+const fp::SystemConfig kStreaming{.detector = fp::DetectorKind::kStreaming};
 
 // One-leaf, two-port record with a single remote sender (leaf 1).
 IterationRecord make_record(std::uint32_t iteration, double port0, double port1) {
@@ -54,7 +57,7 @@ double noise(std::uint64_t& state) {
 }
 
 TEST(StreamingDetector, StateIsConstantSizeAcrossLongRuns) {
-  StreamingDetector det{net::LeafId{0}, 2, 2};
+  RowBaseline det{2, kStreaming};
   std::uint64_t s = 42;
   // Absorb warmup, then record the state footprint.
   for (std::uint32_t i = 0; i < 5; ++i) {
@@ -68,7 +71,7 @@ TEST(StreamingDetector, StateIsConstantSizeAcrossLongRuns) {
 }
 
 TEST(StreamingDetector, EwmaMatchesBruteForceReference) {
-  StreamingDetector det{net::LeafId{0}, 2, 2};
+  RowBaseline det{2, kStreaming};
   std::uint64_t s = 7;
   std::vector<double> xs;
   for (std::uint32_t i = 0; i < 64; ++i) {
@@ -80,9 +83,9 @@ TEST(StreamingDetector, EwmaMatchesBruteForceReference) {
   // and tracking fold a sample the same way, and 0.1% noise never alerts.
   double ref_mean = xs[0];
   for (std::size_t i = 1; i < xs.size(); ++i) {
-    ref_mean = ref_mean + StreamingDetector::kAlpha * (xs[i] - ref_mean);
+    ref_mean = ref_mean + RowBaseline::kAlpha * (xs[i] - ref_mean);
   }
-  EXPECT_NEAR(det.mean(net::UplinkIndex{0}), ref_mean, 1e-6 * ref_mean);
+  EXPECT_NEAR(det.baseline()[0].total, ref_mean, 1e-6 * ref_mean);
   // The EWMA variance of iid noise with sigma must land near sigma^2
   // (West's recursion has expectation sigma^2 in steady state). Loose
   // bounds: the estimate is itself noisy.
@@ -93,7 +96,7 @@ TEST(StreamingDetector, EwmaMatchesBruteForceReference) {
 }
 
 TEST(StreamingDetector, FlagsShortfallWhereWindowedReferenceDoes) {
-  StreamingDetector det{net::LeafId{0}, 2, 2};
+  RowBaseline det{2, kStreaming};
   std::uint64_t s = 3;
   std::vector<double> history;
   // Healthy phase: no alerts once warmed up.
@@ -113,7 +116,7 @@ TEST(StreamingDetector, FlagsShortfallWhereWindowedReferenceDoes) {
   for (const double x : history) var += (x - mean) * (x - mean);
   var /= static_cast<double>(history.size());
   const double ref_z = (faulty - mean) / std::sqrt(var);
-  ASSERT_LT(ref_z, -StreamingDetector::kZThreshold) << "reference would not flag this drop";
+  ASSERT_LT(ref_z, -RowBaseline::kZThreshold) << "reference would not flag this drop";
 
   const DetectionResult r = det.observe(make_record(30, faulty, 1e6));
   ASSERT_TRUE(r.faulty());
@@ -125,27 +128,27 @@ TEST(StreamingDetector, FlagsShortfallWhereWindowedReferenceDoes) {
 }
 
 TEST(StreamingDetector, AlertFreezesBaselineAgainstPoisoning) {
-  StreamingDetector det{net::LeafId{0}, 2, 2};
+  RowBaseline det{2, kStreaming};
   std::uint64_t s = 11;
   for (std::uint32_t i = 0; i < 20; ++i) {
     (void)det.observe(make_record(i, 1e6 * (1.0 + 0.002 * noise(s)), 1e6));
   }
-  const double healthy_mean = det.mean(net::UplinkIndex{0});
+  const double healthy_mean = det.baseline()[0].total;
   // A persistent 15% shortfall must keep alerting: an unfrozen EWMA would
   // adapt to the fault within a few iterations and go quiet.
   for (std::uint32_t i = 20; i < 40; ++i) {
     const DetectionResult r = det.observe(make_record(i, 0.85e6, 1e6));
     ASSERT_TRUE(r.faulty()) << "baseline absorbed the fault at iteration " << i;
   }
-  EXPECT_NEAR(det.mean(net::UplinkIndex{0}), healthy_mean, 1e-9 * healthy_mean);
+  EXPECT_NEAR(det.baseline()[0].total, healthy_mean, 1e-9 * healthy_mean);
 }
 
 TEST(StreamingDetector, SeededPredictionAlertsFromIterationZero) {
   fp::PortLoadMap prediction{2, 2};
   prediction.add(net::LeafId{0}, net::UplinkIndex{0}, net::LeafId{1}, 1e6);
   prediction.add(net::LeafId{0}, net::UplinkIndex{1}, net::LeafId{1}, 1e6);
-  StreamingDetector det{net::LeafId{0}, 2, 2};
-  det.seed(prediction);
+  RowBaseline det{2, kStreaming};
+  det.install(prediction.row(net::LeafId{0}));
   const DetectionResult r = det.observe(make_record(0, 0.9e6, 1e6));
   ASSERT_TRUE(r.faulty());
   EXPECT_EQ(r.alerts[0].uplink, net::UplinkIndex{0});

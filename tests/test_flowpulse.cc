@@ -13,7 +13,6 @@
 #include "core/units.h"
 #include "flowpulse/analytical_model.h"
 #include "flowpulse/detector.h"
-#include "flowpulse/learned_model.h"
 #include "flowpulse/monitor.h"
 #include "flowpulse/port_load.h"
 #include "flowpulse/system.h"
@@ -228,6 +227,15 @@ IterationRecord record_with(std::uint32_t uplinks, std::uint32_t leaves,
   return r;
 }
 
+/// The threshold rule's verdict on `record`, judged in place against its
+/// row of `pred`.
+DetectionResult evaluate_record(const PortLoadMap& pred, double threshold,
+                                const IterationRecord& record) {
+  RowBaseline row{pred.uplinks(), {.threshold = threshold}};
+  row.install(pred.row(record.leaf));
+  return row.observe(record);
+}
+
 TEST(Detector, NoAlertWithinThreshold) {
   PortLoadMap pred{2, 2};
   pred.add(net::LeafId{0}, net::UplinkIndex{0}, net::LeafId{1}, 1000.0);
@@ -344,8 +352,15 @@ TEST(SuspectLinks, SurplusBlamesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// LearnedModel
+// The learned model: a row baseline that learns its own mean
 // ---------------------------------------------------------------------------
+
+/// A learned row's config: the mean of `learn_iterations` records, judged
+/// by the threshold rule at `threshold`.
+SystemConfig learned(std::uint32_t learn_iterations, double threshold) {
+  return {.threshold = threshold, .model = ModelKind::kLearned,
+          .learn_iterations = learn_iterations};
+}
 
 IterationRecord uniform_record(std::uint32_t uplinks, double bytes, std::uint32_t iter = 0) {
   IterationRecord r;
@@ -363,17 +378,17 @@ std::string kind(const DetectionResult& r) {
 }
 
 TEST(LearnedModel, LearnsBaselineThenAccepts) {
-  LearnedModel m{4, {.learn_iterations = 3}, 0.01};
+  RowBaseline m{4, learned(3, 0.01)};
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(kind(m.observe(uniform_record(4, 1000.0))), "learning");
   }
-  EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
+  EXPECT_EQ(m.phase(net::UplinkIndex{0}), RowBaseline::Phase::kTracking);
   EXPECT_EQ(kind(m.observe(uniform_record(4, 1004.0))), "ok");
   EXPECT_DOUBLE_EQ(m.baseline()[0].total, 1000.0);
 }
 
 TEST(LearnedModel, AlertsOnNewFaultSignature) {
-  LearnedModel m{4, {.learn_iterations = 2}, 0.01};
+  RowBaseline m{4, learned(2, 0.01)};
   (void)m.observe(uniform_record(4, 1000.0));
   (void)m.observe(uniform_record(4, 1000.0));
   IterationRecord faulty = uniform_record(4, 1010.0);  // others pick up retx
@@ -386,12 +401,12 @@ TEST(LearnedModel, AlertsOnNewFaultSignature) {
 TEST(LearnedModel, RebaselinesWhenTransientFaultHeals) {
   // Fig. 3: learn under a fault (port 1 suppressed), then the fault heals:
   // port 1 rises and dispersion shrinks → re-baseline, not alert.
-  LearnedModel m{4, {.learn_iterations = 2}, 0.01};
+  RowBaseline m{4, learned(2, 0.01)};
   IterationRecord poisoned = uniform_record(4, 1020.0);
   poisoned.bytes[1] = 900.0;
   (void)m.observe(poisoned);
   (void)m.observe(poisoned);
-  EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
+  EXPECT_EQ(m.phase(net::UplinkIndex{0}), RowBaseline::Phase::kTracking);
 
   const IterationRecord healed = uniform_record(4, 1000.0);
   EXPECT_EQ(kind(m.observe(healed)), "re-learning");
@@ -399,27 +414,27 @@ TEST(LearnedModel, RebaselinesWhenTransientFaultHeals) {
 
   // After the re-learning window, the healthy load is the new baseline.
   (void)m.observe(healed);
-  EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
+  EXPECT_EQ(m.phase(net::UplinkIndex{0}), RowBaseline::Phase::kTracking);
   EXPECT_DOUBLE_EQ(m.baseline()[1].total, 1000.0);
   EXPECT_EQ(kind(m.observe(uniform_record(4, 1000.0))), "ok");
 }
 
 TEST(LearnedModel, DispersionIgnoresDeadPorts) {
-  EXPECT_DOUBLE_EQ(LearnedModel::dispersion({0.0, 100.0, 100.0}), 0.0);
-  EXPECT_GT(LearnedModel::dispersion({0.0, 100.0, 200.0}), 0.0);
-  EXPECT_DOUBLE_EQ(LearnedModel::dispersion({}), 0.0);
-  EXPECT_DOUBLE_EQ(LearnedModel::dispersion({50.0}), 0.0);
+  EXPECT_DOUBLE_EQ(RowBaseline::dispersion({0.0, 100.0, 100.0}), 0.0);
+  EXPECT_GT(RowBaseline::dispersion({0.0, 100.0, 200.0}), 0.0);
+  EXPECT_DOUBLE_EQ(RowBaseline::dispersion({}), 0.0);
+  EXPECT_DOUBLE_EQ(RowBaseline::dispersion({50.0}), 0.0);
 }
 
 TEST(LearnedModel, AlertsCarryLocalizationFromLearnedPerSenderBaseline) {
-  LearnedModel m{2, {.learn_iterations = 2}, 0.01};
+  RowBaseline m{2, learned(2, 0.01)};
   // Two senders (leaves 0 and 1) contribute 600/400 to each port.
   IterationRecord base;
   base.bytes = {1000.0, 1000.0};
   base.by_src = {{600.0, 400.0}, {600.0, 400.0}};
   (void)m.observe(base);
   (void)m.observe(base);
-  ASSERT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
+  ASSERT_EQ(m.phase(net::UplinkIndex{0}), RowBaseline::Phase::kTracking);
   EXPECT_DOUBLE_EQ(m.baseline()[0].by_src_leaf[0], 600.0);
   EXPECT_DOUBLE_EQ(m.baseline()[1].by_src_leaf[1], 400.0);
 
@@ -449,7 +464,7 @@ TEST(FlowPulseSystem, LearnedModelJudgesAtTheSystemThreshold) {
   SystemConfig cfg;
   cfg.model = ModelKind::kLearned;
   cfg.threshold = 0.05;
-  cfg.learned.learn_iterations = 2;
+  cfg.learn_iterations = 2;
   FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
   system.ingest(uniform_record(4, 1000.0, 0));
   system.ingest(uniform_record(4, 1000.0, 1));
@@ -473,7 +488,7 @@ TEST(FlowPulseSystem, LearnedModelPublishesOneResultPerRecord) {
   // hook): learning and healed iterations unjudged, the rest judged.
   SystemConfig cfg;
   cfg.model = ModelKind::kLearned;
-  cfg.learned.learn_iterations = 2;
+  cfg.learn_iterations = 2;
   FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
   std::vector<std::string> hooked;
   system.set_alert_hook([&hooked](const DetectionResult& r) { hooked.push_back(kind(r)); });
@@ -505,13 +520,62 @@ TEST(FlowPulseSystem, LearnedModelPublishesOneResultPerRecord) {
             (std::vector<double>{0.0, 0.0, results[2].max_rel_dev, 0.0, 0.0}));
 }
 
+TEST(FlowPulseSystem, LearnedModelIsJudgedByEitherRule) {
+  // After learning 1000 B per port, a 0.6% shortfall on one port is 6
+  // sigmas from the learned mean at the z-rule's 0.1% floor and above its
+  // 0.5% bound, so the z-rule alerts; the threshold rule at 1% does not.
+  for (const DetectorKind rule : {DetectorKind::kStreaming, DetectorKind::kThreshold}) {
+    SCOPED_TRACE(rule == DetectorKind::kStreaming ? "streaming" : "threshold");
+    SystemConfig cfg = learned(2, 0.01);
+    cfg.detector = rule;
+    FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
+    system.ingest(uniform_record(4, 1000.0, 0));
+    system.ingest(uniform_record(4, 1000.0, 1));
+    IterationRecord shortfall = uniform_record(4, 1000.0, 2);
+    shortfall.bytes[2] = shortfall.by_src[2][0] = 994.0;
+    system.ingest(shortfall);
+    const std::vector<DetectionResult>& results = system.results();
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(kind(results[1]), "learning");
+    EXPECT_NEAR(results[2].max_rel_dev, 0.006, 1e-12);
+    if (rule == DetectorKind::kThreshold) {
+      EXPECT_EQ(kind(results[2]), "ok");
+      continue;
+    }
+    ASSERT_EQ(kind(results[2]), "alert");
+    ASSERT_EQ(results[2].alerts.size(), 1u);
+    EXPECT_EQ(results[2].alerts[0].uplink, net::UplinkIndex{2});
+    EXPECT_EQ(results[2].alerts[0].localization.verdict, Localization::Verdict::kLocalLink);
+  }
+}
+
+TEST(FlowPulseSystem, StreamingWarmUpIsPublishedAsLearning) {
+  // Nothing installed: the z-rule warms its EWMA up in-band, and each
+  // warm-up record leaves unjudged "learning" with no deviation, as a
+  // learned model's learning records do.
+  SystemConfig cfg;
+  cfg.detector = DetectorKind::kStreaming;
+  FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
+  for (std::uint32_t i = 0; i <= RowBaseline::kWarmupIterations; ++i) {
+    system.ingest(uniform_record(4, 1000.0 + i, i));
+  }
+  const std::vector<DetectionResult>& results = system.results();
+  ASSERT_EQ(results.size(), RowBaseline::kWarmupIterations + 1);
+  for (std::uint32_t i = 0; i < RowBaseline::kWarmupIterations; ++i) {
+    EXPECT_EQ(kind(results[i]), "learning");
+    EXPECT_EQ(results[i].max_rel_dev, 0.0);
+  }
+  EXPECT_EQ(results.back().unjudged, nullptr);
+  EXPECT_GT(results.back().max_rel_dev, 0.0);
+}
+
 TEST(LearnedModel, NewFaultAfterRebaselineStillAlerts) {
-  LearnedModel m{2, {.learn_iterations = 1}, 0.01};
+  RowBaseline m{2, learned(1, 0.01)};
   IterationRecord poisoned = uniform_record(2, 1000.0);
   poisoned.bytes[0] = 800.0;
   (void)m.observe(poisoned);                   // baseline (fault present)
   (void)m.observe(uniform_record(2, 1000.0));  // heals → rebaseline sample
-  EXPECT_EQ(m.phase(), LearnedModel::Phase::kMonitoring);
+  EXPECT_EQ(m.phase(net::UplinkIndex{0}), RowBaseline::Phase::kTracking);
   IterationRecord faulty = uniform_record(2, 1000.0);
   faulty.bytes[1] = 900.0;
   EXPECT_EQ(kind(m.observe(faulty)), "alert");

@@ -199,12 +199,14 @@ TEST(Scenario, SimulationModelDetectsFault) {
   for (const double dev : r.per_iter_max_dev) EXPECT_GT(dev, 0.01);
 }
 
-TEST(Scenario, LearnedModelDetectsMidRunFault) {
+/// A learned-model run whose 5% drop appears after the learning window
+/// (iterations are ~120 µs here) alerts at the faulted leaf under `rule`.
+void learned_model_detects_mid_run_fault(fp::DetectorKind rule) {
   ScenarioConfig cfg = small_scenario();
   cfg.iterations = 8;
   cfg.flowpulse.model = fp::ModelKind::kLearned;
-  cfg.flowpulse.learned.learn_iterations = 3;
-  // Fault appears after the learning window (iterations are ~120 µs here).
+  cfg.flowpulse.learn_iterations = 3;
+  cfg.flowpulse.detector = rule;
   NewFault f = downlink_drop(net::LeafId{4}, net::UplinkIndex{2}, 0.05);
   f.spec.start = sim::Time::microseconds(600);
   cfg.new_faults.push_back(f);
@@ -218,6 +220,13 @@ TEST(Scenario, LearnedModelDetectsMidRunFault) {
   EXPECT_TRUE(alerted);
 }
 
+TEST(Scenario, LearnedModelDetectsMidRunFault) {
+  for (const fp::DetectorKind rule : {fp::DetectorKind::kThreshold, fp::DetectorKind::kStreaming}) {
+    SCOPED_TRACE(rule == fp::DetectorKind::kStreaming ? "streaming" : "threshold");
+    learned_model_detects_mid_run_fault(rule);
+  }
+}
+
 /// A learned result that re-learned its baseline instead of alerting.
 bool relearned(const fp::DetectionResult& d) {
   return d.unjudged != nullptr && std::string_view{d.unjudged} == "re-learning";
@@ -229,7 +238,7 @@ TEST(Scenario, LearnedModelRebaselinesAfterTransientFault) {
   ScenarioConfig cfg = small_scenario();
   cfg.iterations = 10;
   cfg.flowpulse.model = fp::ModelKind::kLearned;
-  cfg.flowpulse.learned.learn_iterations = 2;
+  cfg.flowpulse.learn_iterations = 2;
   NewFault f = downlink_drop(net::LeafId{4}, net::UplinkIndex{2}, 0.08);
   f.spec.end = sim::Time::microseconds(300);  // heals after ~2 iterations
   cfg.new_faults.push_back(f);

@@ -548,7 +548,7 @@ TEST(TraceE2E, LearnedModelAlertsReachEveryOutput) {
   cfg.iterations = 8;
   cfg.seed = 1;
   cfg.flowpulse.model = fp::ModelKind::kLearned;
-  cfg.flowpulse.learned.learn_iterations = 3;
+  cfg.flowpulse.learn_iterations = 3;
   exp::NewFault f;
   f.leaf = net::LeafId{4};
   f.uplink = net::UplinkIndex{2};
