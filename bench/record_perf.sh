@@ -49,7 +49,7 @@ cmake --build "$BUILD" --target perf_micro -j"$(nproc)" >/dev/null
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 "$BUILD/bench/perf_micro" \
-  --benchmark_filter='BM_EventQueueScheduleRun|BM_EventQueueHopPattern|BM_RingIterationSimulation|BM_LanedEvents|BM_TrialSweep|BM_FidelityModeIterations|BM_DaemonIngestCounters' \
+  --benchmark_filter='BM_EventQueueScheduleRun|BM_EventQueueHopPattern|BM_RingIterationSimulation|BM_LanedEvents|BM_TrialSweep|BM_FidelityModeIterations|BM_StreamingDetectorObserve|BM_DaemonIngestCounters' \
   --benchmark_out="$TMP" --benchmark_out_format=json \
   --benchmark_min_time=0.5 \
   --benchmark_repetitions=10 --benchmark_enable_random_interleaving=true
@@ -104,7 +104,8 @@ doc = {
              "before/after comparison."),
     "suite": ("perf_micro: events/sec (hot path) + trials/sec (parallel trial "
               "engine) + iterations/sec per fidelity mode (hybrid engine) + "
-              "counter-ingest/sec (flowpulsed engine, sockets excluded)"),
+              "one row's z-rule judgement + counter-ingest/sec (flowpulsed "
+              "engine, sockets excluded)"),
     "build_type": build_type,
     "trusted": trusted,
     "git_sha": os.environ.get("FP_GIT_SHA", "unknown"),
