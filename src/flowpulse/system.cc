@@ -108,6 +108,7 @@ DetectionResult RowBaseline::observe(const IterationRecord& record) {
   DetectionResult result;
   result.leaf = record.leaf;
   result.iteration = record.iteration;
+  // Every record is a sample of every port, so the ports learn in step.
   if (!stats_.empty() && stats_.front().phase == Phase::kLearning) {
     learn(record);
     result.unjudged = "learning";

@@ -225,8 +225,9 @@ class FlowPulseSystem {
   /// nothing during the run (each monitor only appends to its own history)
   /// and flush() — called on the coordinator after the lanes drain —
   /// replays every new record through the normal pipeline in canonical
-  /// (iteration, row) order, independent of lane count. Records flushed
-  /// before a prediction is installed are dropped, so arm the system first.
+  /// (iteration, row) order, independent of lane count. Under the
+  /// threshold rule, records flushed before a prediction is installed are
+  /// dropped (RowBaseline::ready()), so arm the system first.
   void set_deferred_evaluation(bool on) { deferred_ = on; }
 
   /// Finalize the in-flight iteration at every row (end of training run).

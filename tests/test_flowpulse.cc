@@ -520,32 +520,43 @@ TEST(FlowPulseSystem, LearnedModelPublishesOneResultPerRecord) {
             (std::vector<double>{0.0, 0.0, results[2].max_rel_dev, 0.0, 0.0}));
 }
 
-TEST(FlowPulseSystem, LearnedModelIsJudgedByEitherRule) {
-  // After learning 1000 B per port, a 0.6% shortfall on one port is 6
-  // sigmas from the learned mean at the z-rule's 0.1% floor and above its
-  // 0.5% bound, so the z-rule alerts; the threshold rule at 1% does not.
-  for (const DetectorKind rule : {DetectorKind::kStreaming, DetectorKind::kThreshold}) {
-    SCOPED_TRACE(rule == DetectorKind::kStreaming ? "streaming" : "threshold");
-    SystemConfig cfg = learned(2, 0.01);
-    cfg.detector = rule;
-    FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
-    system.ingest(uniform_record(4, 1000.0, 0));
-    system.ingest(uniform_record(4, 1000.0, 1));
-    IterationRecord shortfall = uniform_record(4, 1000.0, 2);
-    shortfall.bytes[2] = shortfall.by_src[2][0] = 994.0;
-    system.ingest(shortfall);
-    const std::vector<DetectionResult>& results = system.results();
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(kind(results[1]), "learning");
-    EXPECT_NEAR(results[2].max_rel_dev, 0.006, 1e-12);
-    if (rule == DetectorKind::kThreshold) {
-      EXPECT_EQ(kind(results[2]), "ok");
-      continue;
+TEST(FlowPulseSystem, LearnedAndDynamicModelsAreJudgedByEitherRule) {
+  // Each port expects 1000 B: learned from the first two records, or
+  // installed from the provider before every record (its spread reset).
+  // A 0.6% shortfall on one port is then 6 sigmas away at the z-rule's
+  // 0.1% floor and above its 0.5% bound, so the z-rule alerts; the
+  // threshold rule at 1% does not.
+  PortLoadMap expected{1, 4, 1};
+  for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(4)) {
+    expected.add(net::LeafId{0}, u, net::LeafId{0}, 1000.0);
+  }
+  for (const ModelKind model : {ModelKind::kLearned, ModelKind::kDynamic}) {
+    for (const DetectorKind rule : {DetectorKind::kStreaming, DetectorKind::kThreshold}) {
+      const bool z_rule = rule == DetectorKind::kStreaming;
+      SCOPED_TRACE(std::string{model == ModelKind::kLearned ? "learned" : "dynamic"} + " × " +
+                   (z_rule ? "streaming" : "threshold"));
+      const SystemConfig cfg{
+          .threshold = 0.01, .model = model, .learn_iterations = 2, .detector = rule};
+      FlowPulseSystem system{Tier{1, 4, 1, 1}, cfg};
+      system.set_prediction_provider([&expected](net::IterIndex) { return &expected; });
+      system.ingest(uniform_record(4, 1000.0, 0));
+      system.ingest(uniform_record(4, 1000.0, 1));
+      IterationRecord shortfall = uniform_record(4, 1000.0, 2);
+      shortfall.bytes[2] = shortfall.by_src[2][0] = 994.0;
+      system.ingest(shortfall);
+      const std::vector<DetectionResult>& results = system.results();
+      ASSERT_EQ(results.size(), 3u);
+      EXPECT_EQ(kind(results[1]), model == ModelKind::kLearned ? "learning" : "ok");
+      EXPECT_NEAR(results[2].max_rel_dev, 0.006, 1e-12);
+      if (!z_rule) {
+        EXPECT_EQ(kind(results[2]), "ok");
+        continue;
+      }
+      ASSERT_EQ(kind(results[2]), "alert");
+      ASSERT_EQ(results[2].alerts.size(), 1u);
+      EXPECT_EQ(results[2].alerts[0].uplink, net::UplinkIndex{2});
+      EXPECT_EQ(results[2].alerts[0].localization.verdict, Localization::Verdict::kLocalLink);
     }
-    ASSERT_EQ(kind(results[2]), "alert");
-    ASSERT_EQ(results[2].alerts.size(), 1u);
-    EXPECT_EQ(results[2].alerts[0].uplink, net::UplinkIndex{2});
-    EXPECT_EQ(results[2].alerts[0].localization.verdict, Localization::Verdict::kLocalLink);
   }
 }
 
