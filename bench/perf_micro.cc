@@ -10,6 +10,7 @@
 #include "collective/schedule.h"
 #include "daemon/engine.h"
 #include "daemon/protocol.h"
+#include "exp/clos_scenario.h"
 #include "exp/scenario.h"
 #include "exp/trials.h"
 #include "flowpulse/analytical_model.h"
@@ -139,6 +140,21 @@ void BM_RingIterationSimulation(benchmark::State& state) {
   state.SetLabel(std::to_string(state.range(0)) + " MiB collective");
 }
 BENCHMARK(BM_RingIterationSimulation)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_ClosScenarioBuild(benchmark::State& state) {
+  // Set-up and teardown of the 1024-host Clos headline scenario, serial and
+  // without running an event: fabric, transports, monitors, the ring
+  // schedule, its demand and the two-tier prediction. The schedule and
+  // demand grow with the rank count, so this is where their size shows.
+  for (auto _ : state) {
+    exp::ClosScenarioConfig cfg;
+    cfg.lanes = 0;
+    exp::ClosScenario s{cfg};
+    benchmark::DoNotOptimize(s.fabric().num_hosts());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClosScenarioBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_LanedEvents(benchmark::State& state) {
   // Serial vs sharded-event-lane engine on the same deterministic faulted

@@ -10,6 +10,13 @@
 # on a shared host one run can land in a slow or a fast phase, so a single
 # run per benchmark is not a measurement.
 #
+# Where taskset exists, the suite runs pinned to one CPU, the last one this
+# shell may use, and the recording names it ("pinned_cpu"). On a shared
+# 4-vCPU host, BM_DaemonIngestCounters' quartiles spread over 2478–4325 ns
+# unpinned and 2066–2228 ns pinned. On one CPU the multi-threaded rows
+# (BM_LanedEvents/2 and /4, BM_TrialSweepParallel) price their threads'
+# overhead rather than a parallel speed-up.
+#
 # Honesty guard: refuses to record from a non-optimized build (empty or
 # Debug CMAKE_BUILD_TYPE) — such numbers are meaningless for the trajectory
 # and have polluted it before. Set FLOWPULSE_ALLOW_DEBUG_PERF=1 to override;
@@ -46,16 +53,25 @@ git -C "$ROOT" diff --quiet HEAD 2>/dev/null || GIT_DIRTY=1
 
 cmake --build "$BUILD" --target perf_micro -j"$(nproc)" >/dev/null
 
+PIN_CPU=""
+RUN=()
+if command -v taskset >/dev/null 2>&1; then
+  # "pid N's current affinity list: 0-3,6" -> 6
+  PIN_CPU="$(taskset -cp $$ | sed 's/.*: //' | tr ',' '\n' | tail -n 1 | sed 's/.*-//')"
+  RUN=(taskset -c "$PIN_CPU")
+fi
+
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
-"$BUILD/bench/perf_micro" \
-  --benchmark_filter='BM_EventQueueScheduleRun|BM_EventQueueHopPattern|BM_RingIterationSimulation|BM_LanedEvents|BM_TrialSweep|BM_FidelityModeIterations|BM_StreamingDetectorObserve|BM_DaemonIngestCounters' \
+${RUN[@]+"${RUN[@]}"} "$BUILD/bench/perf_micro" \
+  --benchmark_filter='BM_EventQueueScheduleRun|BM_EventQueueHopPattern|BM_RingIterationSimulation|BM_ClosScenarioBuild|BM_LanedEvents|BM_TrialSweep|BM_FidelityModeIterations|BM_StreamingDetectorObserve|BM_DaemonIngestCounters' \
   --benchmark_out="$TMP" --benchmark_out_format=json \
   --benchmark_min_time=0.5 \
   --benchmark_repetitions=10 --benchmark_enable_random_interleaving=true
 
 if command -v python3 >/dev/null 2>&1; then
   FP_BUILD_TYPE="${BUILD_TYPE:-}" FP_GIT_SHA="$GIT_SHA" FP_GIT_DIRTY="$GIT_DIRTY" \
+  FP_PIN_CPU="$PIN_CPU" \
   python3 - "$TMP" "$OUT" <<'PY'
 import json, os, statistics, sys
 
@@ -102,14 +118,17 @@ doc = {
              "randomly interleaved repetitions. 'history' keeps earlier "
              "recordings (e.g. the pre-optimization seed baseline) for "
              "before/after comparison."),
-    "suite": ("perf_micro: events/sec (hot path) + trials/sec (parallel trial "
-              "engine) + iterations/sec per fidelity mode (hybrid engine) + "
-              "one row's z-rule judgement + counter-ingest/sec (flowpulsed "
-              "engine, sockets excluded)"),
+    "suite": ("perf_micro: events/sec (hot path) + builds/sec of the 1024-host "
+              "Clos scenario (set-up and teardown, no events) + trials/sec "
+              "(parallel trial engine) + iterations/sec per fidelity mode "
+              "(hybrid engine) + one row's z-rule judgement + "
+              "counter-ingest/sec (flowpulsed engine, sockets excluded)"),
     "build_type": build_type,
     "trusted": trusted,
     "git_sha": os.environ.get("FP_GIT_SHA", "unknown"),
     "git_dirty": os.environ.get("FP_GIT_DIRTY", "0") == "1",
+    # The CPU the suite ran pinned to; null when taskset was missing.
+    "pinned_cpu": int(os.environ["FP_PIN_CPU"]) if os.environ.get("FP_PIN_CPU") else None,
     "context": raw.get("context", {}),
     "benchmarks": benchmarks,
     "history": {},
@@ -133,4 +152,4 @@ else
   cp "$TMP" "$OUT"
 fi
 
-echo "wrote $OUT (build_type=${BUILD_TYPE:-unset}, sha=${GIT_SHA:0:12}, dirty=$GIT_DIRTY)"
+echo "wrote $OUT (build_type=${BUILD_TYPE:-unset}, sha=${GIT_SHA:0:12}, dirty=$GIT_DIRTY, pinned_cpu=${PIN_CPU:-none})"

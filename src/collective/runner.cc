@@ -1,7 +1,10 @@
 #include "collective/runner.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace flowpulse::collective {
 
@@ -54,29 +57,17 @@ void CollectiveRunner::begin_iteration(std::uint32_t iteration) {
     assert(schedule_->ranks == ranks_);
   }
 
-  const std::uint32_t stages = static_cast<std::uint32_t>(schedule_->stages.size());
-  recv_remaining_.assign(stages, std::vector<std::uint32_t>(ranks_, 0));
-  total_recv_remaining_ = 0;
-  rank_sends_.resize(ranks_);
-  for (RankSends& own : rank_sends_) {
-    own.sends.clear();
-    own.launched = 0;
-  }
-  for (std::uint32_t k = 0; k < stages; ++k) {
-    const std::vector<Send>& sends = schedule_->stages[k].sends;
-    for (std::uint32_t i = 0; i < sends.size(); ++i) {
-      ++recv_remaining_[k][sends[i].dst_rank];
-      ++total_recv_remaining_;
-      rank_sends_[sends[i].src_rank].sends.push_back(SendRef{k, i});
-    }
-  }
-  stages_clear_.assign(ranks_, 0);
-  next_stage_.assign(ranks_, 0);
-  // A rank may have nothing to receive in leading stages; normalize.
+  expect_inbound();
+  rank_state_.resize(ranks_);
   for (std::uint32_t r = 0; r < ranks_; ++r) {
-    while (stages_clear_[r] < stages && recv_remaining_[stages_clear_[r]][r] == 0) {
-      ++stages_clear_[r];
-    }
+    RankState& st = rank_state_[r];
+    st.run = schedule_->run_begin[r];
+    st.sent = 0;
+    st.clear = 0;
+    st.next = expected_begin_[r];
+    st.window.assign(std::max<std::size_t>(st.window.size(), 1), 0);
+    // A rank may have nothing to receive in leading stages; normalize.
+    settle(r);
   }
 
   if (config_.validate_data) {
@@ -103,33 +94,88 @@ void CollectiveRunner::begin_iteration(std::uint32_t iteration) {
   if (total_recv_remaining_ == 0) finish_iteration();
 }
 
-void CollectiveRunner::advance(std::uint32_t rank) {
-  const std::uint32_t stages = static_cast<std::uint32_t>(schedule_->stages.size());
-  while (next_stage_[rank] < stages && next_stage_[rank] <= stages_clear_[rank]) {
-    const std::uint32_t k = next_stage_[rank];
-    ++next_stage_[rank];
-    launch_stage(rank, k);
+void CollectiveRunner::expect_inbound() {
+  // Where each run's messages start and stop arriving at its receiver:
+  // +1 message per stage from run.stage, −1 after its last stage.
+  struct Edge {
+    std::uint32_t rank = 0;
+    std::uint32_t stage = 0;
+    std::int32_t delta = 0;
+  };
+  std::vector<Edge> edges;
+  edges.reserve(2 * schedule_->runs.size());
+  total_recv_remaining_ = 0;
+  for (const SendRun& run : schedule_->runs) {
+    edges.push_back(Edge{run.dst_rank, run.stage, 1});
+    edges.push_back(Edge{run.dst_rank, run.stage + run.count, -1});
+    total_recv_remaining_ += run.count;
   }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::pair{a.rank, a.stage} < std::pair{b.rank, b.stage};
+  });
+
+  expected_.clear();
+  expected_begin_.assign(ranks_ + 1, 0);
+  std::size_t e = 0;
+  for (std::uint32_t r = 0; r < ranks_; ++r) {
+    expected_begin_[r] = static_cast<std::uint32_t>(expected_.size());
+    std::int64_t messages = 0;  // per stage from `from` on
+    std::uint32_t from = 0;
+    for (; e < edges.size() && edges[e].rank == r; ++e) {
+      const std::uint32_t stage = edges[e].stage;
+      if (stage != from && messages > 0) {
+        const Expected seg{from, stage - from, static_cast<std::uint32_t>(messages)};
+        if (expected_.size() > expected_begin_[r] &&
+            expected_.back().stage + expected_.back().count == from &&
+            expected_.back().messages == seg.messages) {
+          expected_.back().count += seg.count;  // abutting runs from one sender
+        } else {
+          expected_.push_back(seg);
+        }
+      }
+      from = stage;
+      messages += edges[e].delta;
+    }
+  }
+  expected_begin_[ranks_] = static_cast<std::uint32_t>(expected_.size());
 }
 
-void CollectiveRunner::launch_stage(std::uint32_t rank, std::uint32_t stage) {
-  // Stages launch in order, so this stage's sends are the next unlaunched
-  // run of the rank's own list.
+void CollectiveRunner::settle(std::uint32_t rank) {
+  RankState& st = rank_state_[rank];
+  const std::size_t mask = st.window.size() - 1;
+  for (; st.next < expected_begin_[rank + 1]; ++st.next) {
+    const Expected& seg = expected_[st.next];
+    st.clear = std::max(st.clear, seg.stage);  // nothing expected before seg.stage
+    for (; st.clear < seg.stage + seg.count; ++st.clear) {
+      std::uint32_t& got = st.window[st.clear & mask];
+      assert(got <= seg.messages);
+      if (got < seg.messages) return;
+      got = 0;
+    }
+  }
+  st.clear = schedule_->num_stages;
+}
+
+void CollectiveRunner::advance(std::uint32_t rank) {
+  // Stages launch in order, and a rank's runs list its sends in that order.
+  RankState& st = rank_state_[rank];
   const net::HostId src_host = config_.hosts[rank];
-  const std::vector<Send>& stage_sends = schedule_->stages[stage].sends;
-  RankSends& own = rank_sends_[rank];
-  for (; own.launched < own.sends.size() && own.sends[own.launched].stage == stage;
-       ++own.launched) {
-    const Send& s = stage_sends[own.sends[own.launched].index];
-    transport::MessageSpec spec;
-    spec.dst = config_.hosts[s.dst_rank];
-    spec.bytes = s.bytes;
-    spec.flow_id = flow_id_for(iteration_);
-    spec.priority = config_.priority;
-    const double value = config_.validate_data ? acc_[rank][s.chunk] : 0.0;
-    const std::uint64_t msg_id = transports_.at(src_host).send_message(spec);
-    pending_.emplace(msg_key(src_host, msg_id),
-                     PendingMsg{iteration_, stage, s.dst_rank, s.chunk, value});
+  for (; st.run < schedule_->run_begin[rank + 1]; ++st.run, st.sent = 0) {
+    const SendRun& run = schedule_->runs[st.run];
+    for (; st.sent < run.count; ++st.sent) {
+      const std::uint32_t stage = run.stage + st.sent;
+      if (stage > st.clear) return;
+      const std::uint32_t chunk = schedule_->chunk_of(run, st.sent);
+      transport::MessageSpec spec;
+      spec.dst = config_.hosts[run.dst_rank];
+      spec.bytes = run.bytes;
+      spec.flow_id = flow_id_for(iteration_);
+      spec.priority = config_.priority;
+      const double value = config_.validate_data ? acc_[rank][chunk] : 0.0;
+      const std::uint64_t msg_id = transports_.at(src_host).send_message(spec);
+      pending_.emplace(msg_key(src_host, msg_id),
+                       PendingMsg{iteration_, stage, run.dst_rank, chunk, value});
+    }
   }
 }
 
@@ -142,21 +188,28 @@ void CollectiveRunner::on_recv(const transport::RecvInfo& info) {
 
   const std::uint32_t rank = msg.dst_rank;
   if (config_.validate_data) {
-    if (schedule_->stages[msg.stage].reduce) {
+    if (msg.stage < schedule_->reduce_stages) {
       acc_[rank][msg.chunk] += msg.value;
     } else {
       acc_[rank][msg.chunk] = msg.value;
     }
   }
 
-  assert(recv_remaining_[msg.stage][rank] > 0);
-  --recv_remaining_[msg.stage][rank];
+  RankState& st = rank_state_[rank];
+  assert(msg.stage >= st.clear);
+  const std::uint32_t ahead = msg.stage - st.clear;
+  if (ahead >= st.window.size()) {
+    // Re-home every live count in a window wide enough for `ahead`.
+    std::vector<std::uint32_t> wider(std::bit_ceil(ahead + 1), 0);
+    for (std::uint32_t s = st.clear; s < st.clear + st.window.size(); ++s) {
+      wider[s & (wider.size() - 1)] = st.window[s & (st.window.size() - 1)];
+    }
+    st.window = std::move(wider);
+  }
+  ++st.window[msg.stage & (st.window.size() - 1)];
   --total_recv_remaining_;
 
-  const std::uint32_t stages = static_cast<std::uint32_t>(schedule_->stages.size());
-  while (stages_clear_[rank] < stages && recv_remaining_[stages_clear_[rank]][rank] == 0) {
-    ++stages_clear_[rank];
-  }
+  settle(rank);
   advance(rank);
 
   if (total_recv_remaining_ == 0) finish_iteration();

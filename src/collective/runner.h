@@ -91,22 +91,39 @@ class CollectiveRunner {
     double value = 0.0;
   };
 
-  /// One send of the current schedule: schedule_->stages[stage].sends[index].
-  struct SendRef {
+  /// How many messages a rank expects in each of `count` consecutive
+  /// stages from `stage`: one segment of the rank's run-length encoded
+  /// inbound traffic.
+  struct Expected {
     std::uint32_t stage = 0;
-    std::uint32_t index = 0;
+    std::uint32_t count = 0;
+    std::uint32_t messages = 0;
   };
 
-  /// A rank's sends of the current iteration in schedule order (stage by
-  /// stage, then as listed in the stage), and how many it has launched.
-  struct RankSends {
-    std::vector<SendRef> sends;
-    std::size_t launched = 0;
+  /// One rank's progress through the current iteration.
+  struct RankState {
+    // Send side: the next send to launch is send `sent` of schedule run `run`.
+    std::uint32_t run = 0;
+    std::uint32_t sent = 0;
+    // Receive side: stages [0, clear) are fully received, and expected_[next]
+    // is the first segment that still reaches stage `clear` or beyond.
+    std::uint32_t clear = 0;
+    std::uint32_t next = 0;
+    /// Messages received so far for stages clear, clear + 1, ...; stage s
+    /// counts in slot s mod window.size(), a power of two. A sender can run
+    /// up to N−1 stages ahead while a retransmission holds its receiver, so
+    /// the window grows when a message arrives beyond it.
+    std::vector<std::uint32_t> window;
   };
 
   void begin_iteration(std::uint32_t iteration);
-  void launch_stage(std::uint32_t rank, std::uint32_t stage);
+  /// Run-length encode what each rank expects per stage of schedule_, and
+  /// count every message of the iteration.
+  void expect_inbound();
+  /// Launch every send of `rank` whose stage is unblocked.
   void advance(std::uint32_t rank);
+  /// Move `rank` past every leading stage whose messages have all arrived.
+  void settle(std::uint32_t rank);
   void on_recv(const transport::RecvInfo& info);
   void finish_iteration();
   void validate_iteration();
@@ -132,11 +149,11 @@ class CollectiveRunner {
   sim::Time iteration_start_ = sim::Time::zero();
   bool running_ = false;
 
-  // Per-iteration progress.
-  std::vector<std::vector<std::uint32_t>> recv_remaining_;  // [stage][rank]
-  std::vector<std::uint32_t> stages_clear_;  // rank → # leading stages fully received
-  std::vector<std::uint32_t> next_stage_;    // rank → next stage to launch
-  std::vector<RankSends> rank_sends_;        // [rank]
+  // Per-iteration progress. Rank r's inbound segments are
+  // expected_[expected_begin_[r], expected_begin_[r + 1]), in stage order.
+  std::vector<Expected> expected_;
+  std::vector<std::uint32_t> expected_begin_;
+  std::vector<RankState> rank_state_;  // [rank]
   std::uint64_t total_recv_remaining_ = 0;
   // fplint: ok(unordered): keyed emplace/find/erase only, never iterated
   // (enforced by fplint's iteration rule); progress is driven by message

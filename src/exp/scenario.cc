@@ -65,17 +65,18 @@ collective::CommSchedule make_schedule(collective::CollectiveKind kind,
 }
 
 Scenario::Scenario(ScenarioConfig config)
-    : config_{std::move(config)},
-      schedule_{make_schedule(config_.collective, config_.fabric.shape,
-                              config_.collective_bytes)},
-      demand_{collective::DemandMatrix::from_schedule(
-          schedule_, all_hosts_ring(config_.fabric.shape), config_.fabric.shape.num_hosts())} {
+    : config_{std::move(config)}, demand_{config_.fabric.shape.num_hosts()} {
   build();
 }
 
 Scenario::~Scenario() = default;
 
 void Scenario::build() {
+  // The demand is computed from the schedule once; the runner then owns it.
+  collective::CommSchedule schedule =
+      make_schedule(config_.collective, config_.fabric.shape, config_.collective_bytes);
+  demand_ = collective::DemandMatrix::from_schedule(
+      schedule, all_hosts_ring(config_.fabric.shape), config_.fabric.shape.num_hosts());
   config_.fabric.seed = config_.seed;
   sim_ = std::make_unique<sim::Simulator>(config_.seed);
   // Tracing is armed before any component exists so even wiring-time and
@@ -217,7 +218,7 @@ void Scenario::build() {
 
   collective::CollectiveConfig cc;
   cc.hosts = all_hosts_ring(config_.fabric.shape);
-  cc.schedule = schedule_;
+  cc.schedule = std::move(schedule);
   cc.iterations = config_.iterations;
   cc.compute_gap = config_.compute_gap;
   cc.max_jitter = config_.max_jitter;

@@ -153,7 +153,6 @@ class Scenario {
   /// (kAnalytical / kSimulation).
   [[nodiscard]] ctrl::MitigationController* controller() { return controller_.get(); }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
-  [[nodiscard]] const collective::CommSchedule& schedule() const { return schedule_; }
   [[nodiscard]] const collective::DemandMatrix& demand() const { return demand_; }
 
   /// The prediction FlowPulse is armed with (nullptr for kLearned and
@@ -173,7 +172,6 @@ class Scenario {
   [[nodiscard]] bool unquarantined_fault_during(sim::Time start, sim::Time end) const;
 
   ScenarioConfig config_;
-  collective::CommSchedule schedule_;
   collective::DemandMatrix demand_;
   std::unique_ptr<sim::Simulator> sim_;
   /// Extra lanes (lane 1..n-1) of a sharded run; sim_ is always lane 0.

@@ -43,13 +43,8 @@ class AnalyticalModel {
   /// row-major (src, dst) order.
   template <class Visit>
   void for_each_pair(const collective::DemandMatrix& demand, Visit&& visit) const {
-    const std::uint32_t hosts = demand.hosts();
-    for (const net::HostId src : core::ids<net::HostId>(hosts)) {
-      for (const net::HostId dst : core::ids<net::HostId>(hosts)) {
-        const core::Bytes d = demand.at(src, dst);
-        if (d == core::Bytes{0}) continue;
-        visit(src, dst, wire_bytes(d));
-      }
+    for (const collective::DemandMatrix::Pair& p : demand.pairs()) {
+      visit(p.src, p.dst, wire_bytes(p.bytes));
     }
   }
 

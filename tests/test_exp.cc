@@ -72,14 +72,14 @@ TEST(EnvKnobs, ScaleOverride) {
 
 TEST(MakeSchedule, DispatchesByKind) {
   const net::TopologyInfo shape{4, 2, 1, 1};
-  EXPECT_EQ(make_schedule(collective::CollectiveKind::kRingAllReduce, shape, core::Bytes{4096}).stages.size(),
+  EXPECT_EQ(make_schedule(collective::CollectiveKind::kRingAllReduce, shape, core::Bytes{4096}).num_stages,
             6u);
   EXPECT_EQ(
-      make_schedule(collective::CollectiveKind::kRingReduceScatter, shape, core::Bytes{4096}).stages.size(),
+      make_schedule(collective::CollectiveKind::kRingReduceScatter, shape, core::Bytes{4096}).num_stages,
       3u);
   EXPECT_EQ(
-      make_schedule(collective::CollectiveKind::kRingAllGather, shape, core::Bytes{4096}).stages.size(), 3u);
-  EXPECT_EQ(make_schedule(collective::CollectiveKind::kAllToAll, shape, core::Bytes{4096}).stages.size(),
+      make_schedule(collective::CollectiveKind::kRingAllGather, shape, core::Bytes{4096}).num_stages, 3u);
+  EXPECT_EQ(make_schedule(collective::CollectiveKind::kAllToAll, shape, core::Bytes{4096}).num_stages,
             1u);
   const net::TopologyInfo multi{4, 2, 2, 1};
   const auto hier =
