@@ -27,12 +27,14 @@ std::uint64_t flow_hash(const Packet& p) {
 // ---------------------------------------------------------------------------
 
 Switch::Switch(sim::Simulator& simulator, PacketPool& pool, std::string name,
-               std::uint32_t num_ports, PortIndex first_up_port, PfcConfig pfc)
+               std::uint32_t num_ports, PortIndex first_up_port, PfcConfig pfc,
+               std::uint32_t spray_leaves)
     : sim_{simulator},
       pool_{pool},
       name_{std::move(name)},
       pfc_{pfc},
       first_up_port_{first_up_port},
+      spray_leaves_{spray_leaves},
       ingress_bytes_(num_ports),
       upstream_paused_(num_ports),
       upstream_(num_ports, nullptr) {
@@ -64,6 +66,10 @@ const EgressPort& Switch::upstream(UplinkIndex u) const {
   const EgressPort* up = upstream_[first_up_port_.v() + u.v()];
   assert(up != nullptr && "tapped port read before wiring");
   return *up;
+}
+
+std::size_t Switch::spray_rows() const {
+  return spray_deficit_.empty() ? 0 : spray_deficit_.size() / up_ports();
 }
 
 LinkCounters Switch::link_counters() const {
@@ -164,15 +170,12 @@ LeafSwitch::LeafSwitch(sim::Simulator& simulator, PacketPool& pool, LeafId id,
                        sim::Rng& fault_rng)
     : Switch{simulator, pool, "leaf" + std::to_string(id.v()),
              info.hosts_per_leaf + info.uplinks_per_leaf(),
-             info.leaf_uplink_port(UplinkIndex{0}), pfc},
+             info.leaf_uplink_port(UplinkIndex{0}), pfc, info.leaves},
       id_{id},
       info_{info},
       routing_{routing},
       spray_{spray},
-      rng_{rng},
-      sent_bytes_(static_cast<std::size_t>(info.leaves) * kNumPriorities *
-                      info.uplinks_per_leaf(),
-                  core::Bytes{}) {
+      rng_{rng} {
   for (std::uint32_t h = 0; h < info.hosts_per_leaf; ++h) {
     add_port(host_link, fault_rng, ".down" + std::to_string(h));
   }
@@ -242,18 +245,24 @@ UplinkIndex LeafSwitch::choose_uplink(const Packet& p, LeafId dst_leaf) {
     }
 
     case SprayPolicy::kAdaptive:
-      return pick_byte_deficit(
-          info_.leaf_uplink_port(UplinkIndex{0}), valid, p,
-          &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
-                        priority_index(p.priority)) *
-                       info_.uplinks_per_leaf()]);
+      return pick_byte_deficit(valid, p, dst_leaf);
   }
   return kNoUplink;
 }
 
-UplinkIndex Switch::pick_byte_deficit(PortIndex first,
-                                      const std::vector<UplinkIndex>& candidates,
-                                      const Packet& p, core::Bytes* deficit) const {
+UplinkIndex Switch::pick_byte_deficit(const std::vector<UplinkIndex>& candidates,
+                                      const Packet& p, LeafId dst_leaf) {
+  if (spray_row_.empty()) spray_row_.resize(std::size_t{spray_leaves_} * kNumPriorities, 0);
+  assert(dst_leaf.v() < spray_leaves_);
+  std::uint32_t& row =
+      spray_row_[std::size_t{dst_leaf.v()} * kNumPriorities + priority_index(p.priority)];
+  const std::size_t width = up_ports();
+  if (row == 0) {
+    spray_deficit_.resize(spray_deficit_.size() + width, core::Bytes{});
+    row = static_cast<std::uint32_t>(spray_deficit_.size() / width);
+  }
+  core::Bytes* deficit = &spray_deficit_[(row - 1) * width];
+
   // Occupancy is compared in grades of this many bytes, as real
   // adaptive-routing ASICs compare coarse congestion levels rather than
   // exact byte counts. Sub-grade transients (e.g. one in-flight packet of
@@ -271,7 +280,7 @@ UplinkIndex Switch::pick_byte_deficit(PortIndex first,
   core::Bytes best_deficit{std::numeric_limits<std::uint64_t>::max()};
   for (const UplinkIndex u : candidates) {
     const std::uint64_t g =
-        ports_[first.v() + u.v()]->queued_bytes_at_or_above(p.priority) / kSprayQuantum;
+        ports_[first_up_port_.v() + u.v()]->queued_bytes_at_or_above(p.priority) / kSprayQuantum;
     if (g > best_grade) continue;
     if (g < best_grade || deficit[u.v()] < best_deficit) {
       best_grade = g;
@@ -291,7 +300,7 @@ SpineSwitch::SpineSwitch(sim::Simulator& simulator, PacketPool& pool, SpineId id
                          const TopologyInfo& info, PfcConfig pfc, LinkParams fabric_link,
                          sim::Rng& fault_rng)
     : Switch{simulator, pool, "spine" + std::to_string(id.v()), info.leaves * info.parallel,
-             /*first_up_port=*/kInvalidPort, pfc},
+             /*first_up_port=*/kInvalidPort, pfc, /*spray_leaves=*/0},
       id_{id},
       info_{info} {
   for (const PortIndex p : core::ids<PortIndex>(info.leaves * info.parallel)) {

@@ -74,13 +74,18 @@ class Switch : public Device {
   }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
+  /// Rows of the byte-deficit table: one per (destination leaf, class) this
+  /// switch has sprayed toward.
+  [[nodiscard]] std::size_t spray_rows() const;
 
  protected:
   /// Ports [first_up_port, num_ports) face up; kInvalidPort when none do.
   /// `pool` is the packet pool of `simulator`'s lane, which every port of
-  /// this switch queues into.
+  /// this switch queues into. A switch that sprays may send toward
+  /// `spray_leaves` destination leaves; 0 when it never sprays.
   Switch(sim::Simulator& simulator, PacketPool& pool, std::string name,
-         std::uint32_t num_ports, PortIndex first_up_port, PfcConfig pfc);
+         std::uint32_t num_ports, PortIndex first_up_port, PfcConfig pfc,
+         std::uint32_t spray_leaves);
 
   /// Create the next egress port, named after this switch plus `suffix`.
   /// Subclasses call it once per port, in port order.
@@ -99,25 +104,46 @@ class Switch : public Device {
   }
 
   /// Congestion-graded byte-deficit spray, shared by the kAdaptive leaf and
-  /// the three-level pod-spine. Candidate u is egress port first + u. Picks
-  /// the candidate with the least congestion grade, i.e. bytes queued at or
-  /// above the packet's class in 8 KiB units (kSprayQuantum); then the least
-  /// bytes in `deficit[u]`; then the earliest candidate. Charges the
-  /// packet's bytes to the pick's deficit entry.
-  [[nodiscard]] UplinkIndex pick_byte_deficit(PortIndex first,
-                                              const std::vector<UplinkIndex>& candidates,
-                                              const Packet& p, core::Bytes* deficit) const;
+  /// the three-level pod-spine, of a packet bound for `dst_leaf`. Candidate
+  /// u is up-facing port u. Picks the candidate with the least congestion
+  /// grade, i.e. bytes queued at or above the packet's class in 8 KiB units
+  /// (kSprayQuantum); then the least bytes carried toward (dst_leaf, class);
+  /// then the earliest candidate. Charges the packet's bytes to the pick.
+  [[nodiscard]] UplinkIndex pick_byte_deficit(const std::vector<UplinkIndex>& candidates,
+                                              const Packet& p, LeafId dst_leaf);
 
   sim::Simulator& sim_;
   SwitchCounters counters_{};
 
  private:
   void send_pause(PortIndex in_port, Priority prio, bool pause);
+  /// Number of up-facing ports, the width of a spray row.
+  [[nodiscard]] std::size_t up_ports() const { return upstream_.size() - first_up_port_.v(); }
 
   PacketPool& pool_;
   std::string name_;
   PfcConfig pfc_;
   PortIndex first_up_port_;
+  std::uint32_t spray_leaves_;
+  /// Byte-deficit tie-break state, kept per (destination leaf, traffic
+  /// class, candidate): among equally-uncongested lanes the switch picks
+  /// the one that has carried the fewest bytes for this destination and
+  /// class (byte-based round-robin, as WCMP/DLB-style hardware does).
+  /// Per-destination state is essential: shared state would let an
+  /// interleaved destination mix alias onto fixed lanes, and the ACK stream
+  /// would phase-lock the data stream. Byte (rather than packet) deficits
+  /// matter too: each message ends in a short tail segment, and a
+  /// packet-count round-robin parks those tails on the same lanes whenever
+  /// segments-per-message and lane count share a factor, leaving a
+  /// deterministic byte imbalance the load model cannot predict.
+  ///
+  /// A switch sprays toward few of its (destination, class) pairs, so a
+  /// row of up_ports() deficits is appended, zeroed, on the first spray
+  /// toward its pair. spray_row_[dst_leaf * kNumPriorities + class] holds
+  /// that row's number counted from 1, or 0 for none; it is allocated on
+  /// the switch's first spray.
+  std::vector<std::uint32_t> spray_row_;
+  std::vector<core::Bytes> spray_deficit_;  // [(row - 1) * up_ports() + u]
   std::vector<std::unique_ptr<EgressPort>> ports_;
   std::vector<std::array<core::Bytes, kNumPriorities>> ingress_bytes_;
   std::vector<std::array<bool, kNumPriorities>> upstream_paused_;
@@ -176,18 +202,6 @@ class LeafSwitch final : public Switch {
   static constexpr std::size_t kFlowletTableSize = 4096;
   static constexpr sim::Time kFlowletGap = sim::Time::microseconds(10);
   std::vector<FlowletEntry> flowlet_table_;
-  /// Byte-deficit tie-break state (kAdaptive), kept per (destination leaf,
-  /// traffic class, uplink): among equally-uncongested lanes the switch
-  /// picks the one that has carried the fewest bytes for this destination
-  /// and class (byte-based round-robin, as WCMP/DLB-style hardware does).
-  /// Per-destination state is essential: shared state would let an
-  /// interleaved destination mix alias onto fixed lanes, and the ACK stream
-  /// would phase-lock the data stream. Byte (rather than packet) deficits
-  /// matter too: each message ends in a short tail segment, and a
-  /// packet-count round-robin parks those tails on the same lanes whenever
-  /// segments-per-message and lane count share a factor, leaving a
-  /// deterministic byte imbalance the load model cannot predict.
-  std::vector<core::Bytes> sent_bytes_;  // [(dst_leaf * kNumPriorities + prio) * uplinks + u]
 };
 
 /// Spine switch. Port leaf * parallel + lane connects to that leaf's uplink

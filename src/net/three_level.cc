@@ -24,13 +24,11 @@ PodSpineSwitch::PodSpineSwitch(sim::Simulator& simulator, PacketPool& pool, std:
                                LinkParams fabric_link, sim::Rng& fault_rng)
     : Switch{simulator, pool,
              "podspine" + std::to_string(pod) + "_" + std::to_string(index),
-             info.leaves_per_pod + info.cores_per_group(), PortIndex{info.leaves_per_pod}, pfc},
+             info.leaves_per_pod + info.cores_per_group(), PortIndex{info.leaves_per_pod}, pfc,
+             info.num_leaves()},
       pod_{pod},
       index_{index},
       info_{info},
-      sent_bytes_(static_cast<std::size_t>(info.num_leaves()) * kNumPriorities *
-                      info.cores_per_group(),
-                  core::Bytes{}),
       spray_candidates_{iota_candidates(info.cores_per_group())} {
   for (std::uint32_t l = 0; l < info.leaves_per_pod; ++l) {
     add_port(fabric_link, fault_rng, ".down" + std::to_string(l));
@@ -51,12 +49,7 @@ void PodSpineSwitch::receive(Packet p, PortIndex in_port) {
   // Cross-pod: spray over this group's cores. Core-level faults are
   // silent by construction, so every core is a routing candidate
   // (spray_candidates_, precomputed per switch).
-  core::Bytes* deficit =
-      &sent_bytes_[(static_cast<std::size_t>(dst_leaf.v()) * kNumPriorities +
-                    priority_index(p.priority)) *
-                   info_.cores_per_group()];
-  const UplinkIndex k =
-      pick_byte_deficit(PortIndex{info_.leaves_per_pod}, spray_candidates_, p, deficit);
+  const UplinkIndex k = pick_byte_deficit(spray_candidates_, p, dst_leaf);
   forward(p, in_port, core_uplink(k.v()));
 }
 

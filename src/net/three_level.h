@@ -101,7 +101,6 @@ class PodSpineSwitch final : public Switch {
   std::uint32_t pod_;
   std::uint32_t index_;
   const ThreeLevelInfo& info_;
-  std::vector<core::Bytes> sent_bytes_;  // [dst_leaf * prios + prio][core k]
   /// Spray candidates for cross-pod traffic: every core of this group, in
   /// index order, precomputed once. Per-switch (so per-lane) state — this
   /// replaced a function-local `static thread_local` that the mutable-state

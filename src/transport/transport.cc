@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace flowpulse::transport {
 
@@ -16,7 +15,7 @@ Transport::Transport(sim::Simulator& simulator, net::Host& host, TransportConfig
   });
 }
 
-std::uint64_t Transport::send_message(const MessageSpec& spec, SendCompleteFn on_complete) {
+std::uint64_t Transport::send_message(const MessageSpec& spec) {
   assert(spec.bytes > core::Bytes{0});
   const std::uint64_t msg_id = send_base_ + sends_.size();
   SendState& st = sends_.emplace_back();
@@ -25,7 +24,6 @@ std::uint64_t Transport::send_message(const MessageSpec& spec, SendCompleteFn on
   st.total_segments = static_cast<std::uint32_t>(
       (spec.bytes.v() + config_.mtu_payload - 1) / config_.mtu_payload);
   st.segments.resize(st.total_segments);
-  st.on_complete = std::move(on_complete);
   pump(st);
   return msg_id;
 }
@@ -259,14 +257,11 @@ void Transport::on_ack(const net::Packet& p) {
     ++stats_.messages_sent;
     // Free what the message held, then retire the completed prefix of the
     // window; `st` may be gone after this.
-    const std::uint64_t msg_id = st.msg_id;
-    const SendCompleteFn on_complete = std::exchange(st.on_complete, nullptr);
     st.segments = std::vector<SegmentState>();
     while (!sends_.empty() && sends_.front().done) {
       sends_.pop_front();
       ++send_base_;
     }
-    if (on_complete) on_complete(msg_id);
     return;
   }
   pump(st);

@@ -86,7 +86,6 @@ class Transport {
   /// incast queueing at 400 Gbps.
   static constexpr int kInitialRtoMultiplier = 100;
 
-  using SendCompleteFn = std::function<void(std::uint64_t msg_id)>;
   using RecvHandler = std::function<void(const RecvInfo&)>;
 
   Transport(sim::Simulator& simulator, net::Host& host, TransportConfig config);
@@ -94,9 +93,9 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Begin sending; returns the message id. `on_complete` (optional) fires
-  /// when every segment has been acknowledged.
-  std::uint64_t send_message(const MessageSpec& spec, SendCompleteFn on_complete = nullptr);
+  /// Begin sending; returns the message id. stats().messages_sent counts
+  /// the message once every segment has been acknowledged.
+  std::uint64_t send_message(const MessageSpec& spec);
 
   /// Register a handler fired whenever a message addressed to this host
   /// completes. Multiple consumers (e.g. parallel jobs) may register; each
@@ -138,7 +137,6 @@ class Transport {
     std::uint32_t acked = 0;
     std::uint32_t outstanding = 0;
     std::vector<SegmentState> segments;  ///< emptied when the message completes
-    SendCompleteFn on_complete;
     bool done = false;
   };
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ring.h"
@@ -624,6 +625,46 @@ TEST(FatTree, SprayCoversAllUplinksUnderLoad) {
   const auto& up1 = net.uplink_counters(LeafId{0}, UplinkIndex{1});
   EXPECT_NEAR(up0.tx_packets.dbl(), 100.0, 10.0);
   EXPECT_NEAR(up1.tx_packets.dbl(), 100.0, 10.0);
+}
+
+TEST(FatTree, SprayDeficitsAreKeptPerDestinationAndClass) {
+  // Host 0 interleaves packets to two destination leaves. Each destination
+  // must cycle through all four uplinks on its own: a deficit shared by both
+  // streams would phase-lock them, each onto half of the uplinks.
+  Simulator sim{1};
+  FatTreeConfig cfg;
+  cfg.shape = TopologyInfo{4, 4, 2, 1};  // 4 leaves × 4 spines, 2 hosts/leaf
+  cfg.spray = SprayPolicy::kAdaptive;
+  FatTree net{sim, cfg};
+  for (const LeafId l : core::ids<LeafId>(4)) EXPECT_EQ(net.leaf(l).spray_rows(), 0u);
+
+  const std::array<HostId, 2> dsts{HostId{4}, HostId{6}};  // leaves 2 and 3
+  std::map<std::pair<LeafId, UplinkIndex>, int> arrivals;  // (dst leaf, uplink)
+  for (const HostId d : dsts) {
+    const LeafId l = cfg.shape.leaf_of(d);
+    net.host(d).set_rx_handler([](const Packet&) {});
+    net.leaf(l).set_ingress_tap(
+        [&arrivals, l](UplinkIndex u, const Packet&) { ++arrivals[{l, u}]; });
+  }
+  constexpr int kPerDestination = 200;
+  for (int i = 0; i < 2 * kPerDestination; ++i) {
+    Packet p = make_packet(1000);
+    p.src = HostId{0};
+    p.dst = dsts[i % 2];
+    net.host(HostId{0}).nic().enqueue(p);
+  }
+  sim.run();
+
+  for (const LeafId l : core::ids<LeafId>(4)) {
+    EXPECT_EQ(net.leaf(l).spray_rows(), l == LeafId{0} ? 2u : 0u) << "leaf " << l;
+  }
+  for (const SpineId s : core::ids<SpineId>(4)) EXPECT_EQ(net.spine(s).spray_rows(), 0u);
+  for (const HostId d : dsts) {
+    for (const UplinkIndex u : core::ids<UplinkIndex>(4)) {
+      EXPECT_EQ((arrivals[{cfg.shape.leaf_of(d), u}]), kPerDestination / 4)
+          << "host " << d << " uplink " << u;
+    }
+  }
 }
 
 TEST(FatTree, RandomSprayApproximatelyUniform) {

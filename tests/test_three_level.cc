@@ -347,6 +347,37 @@ TEST(ThreeLevelFlowPulse, CoreLinkFaultLocalizedAtSpineTier) {
   }
 }
 
+// A ring sends each leaf's data to the next leaf and its ACKs to the
+// previous one, so every leaf and every pod-spine sprays toward exactly two
+// (destination leaf, class) pairs, and a core never sprays.
+TEST(ClosScenarioSmall, SprayRowsAreMadeOnlyForSprayedDestinations) {
+  exp::ClosScenarioConfig cfg;
+  cfg.fabric.shape = ThreeLevelInfo{4, 2, 2, 2};
+  cfg.collective_bytes = core::Bytes{256u << 10};
+  cfg.iterations = 1;
+  cfg.lanes = 0;
+  exp::ClosScenario scenario{cfg};
+  const ThreeLevelInfo& shape = cfg.fabric.shape;
+  ThreeLevelFatTree& fabric = scenario.fabric();
+  for (const LeafId l : core::ids<LeafId>(shape.num_leaves())) {
+    EXPECT_EQ(fabric.leaf(l).spray_rows(), 0u);
+  }
+  (void)scenario.run();
+  for (const LeafId l : core::ids<LeafId>(shape.num_leaves())) {
+    EXPECT_EQ(fabric.leaf(l).spray_rows(), 2u) << "leaf " << l;
+  }
+  for (std::uint32_t pod = 0; pod < shape.pods; ++pod) {
+    for (std::uint32_t s = 0; s < shape.spines_per_pod; ++s) {
+      EXPECT_EQ(fabric.pod_spine(pod, s).spray_rows(), 2u) << "pod " << pod << " spine " << s;
+    }
+  }
+  for (std::uint32_t group = 0; group < shape.spines_per_pod; ++group) {
+    for (std::uint32_t k = 0; k < shape.cores_per_group(); ++k) {
+      EXPECT_EQ(fabric.core(group, k).spray_rows(), 0u) << "core " << group << "," << k;
+    }
+  }
+}
+
 // The 1k golden (test_lanes.cc) injects only black holes, which never draw
 // from the fabric's fault RNG. This one drops at random on both monitored
 // tiers, so a switch whose ports sample faults from a different RNG moves

@@ -38,15 +38,13 @@ TEST(Transport, DeliversSingleSegmentMessage) {
   Rig rig{tiny()};
   std::vector<RecvInfo> got;
   rig.transports.at(net::HostId{3}).add_recv_handler([&](const RecvInfo& i) { got.push_back(i); });
-  bool acked = false;
-  rig.transports.at(net::HostId{0}).send_message(MessageSpec{net::HostId{3}, core::Bytes{1000}, 0x1, net::Priority::kCollective},
-                                    [&](std::uint64_t) { acked = true; });
+  rig.transports.at(net::HostId{0}).send_message(MessageSpec{net::HostId{3}, core::Bytes{1000}, 0x1, net::Priority::kCollective});
   rig.sim.run();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].src, net::HostId{0});
   EXPECT_EQ(got[0].bytes, core::Bytes{1000});
   EXPECT_EQ(got[0].flow_id, 0x1u);
-  EXPECT_TRUE(acked);
+  EXPECT_EQ(rig.transports.at(net::HostId{0}).stats().messages_sent, 1u);  // fully acked
 }
 
 TEST(Transport, DeliversMultiSegmentMessage) {
@@ -79,12 +77,10 @@ TEST(Transport, RecoversFromRandomDrops) {
   rig.net.set_link_fault(net::LeafId{0}, net::UplinkIndex{0}, net::FaultSpec::random_drop(0.2));
   int done = 0;
   rig.transports.at(net::HostId{2}).add_recv_handler([&](const RecvInfo&) { ++done; });
-  bool acked = false;
-  rig.transports.at(net::HostId{0}).send_message(MessageSpec{net::HostId{2}, core::Bytes{512 * 1024}, 0x4, net::Priority::kCollective},
-                                    [&](std::uint64_t) { acked = true; });
+  rig.transports.at(net::HostId{0}).send_message(MessageSpec{net::HostId{2}, core::Bytes{512 * 1024}, 0x4, net::Priority::kCollective});
   rig.sim.run();
   EXPECT_EQ(done, 1);
-  EXPECT_TRUE(acked);
+  EXPECT_EQ(rig.transports.at(net::HostId{0}).stats().messages_sent, 1u);
   EXPECT_GT(rig.transports.at(net::HostId{0}).stats().retx_packets_sent, 0u);
 }
 
@@ -172,19 +168,19 @@ TEST(Transport, ExactlyOnceAcrossInterleavedSourcesAndLateDuplicates) {
     });
   }
   constexpr int kPerSource = 24;
-  int completed = 0;
   for (const net::HostId s : srcs) {
     for (int m = 0; m < kPerSource; ++m) {
       const core::Bytes bytes{m % 3 == 0 ? 16u * 1024 : 1000u};
       rig.transports.at(s).send_message(
-          MessageSpec{dsts[m % dsts.size()], bytes, 0x20, net::Priority::kCollective},
-          [&completed](std::uint64_t) { ++completed; });
+          MessageSpec{dsts[m % dsts.size()], bytes, 0x20, net::Priority::kCollective});
     }
   }
   rig.sim.run();
 
   const std::size_t sent = srcs.size() * kPerSource;
-  EXPECT_EQ(completed, static_cast<int>(sent));
+  for (const net::HostId s : srcs) {
+    EXPECT_EQ(rig.transports.at(s).stats().messages_sent, std::uint64_t{kPerSource});
+  }
   ASSERT_EQ(delivered.size(), sent);
   for (const auto& [key, count] : delivered) {
     EXPECT_EQ(count, 1) << "host" << key.first << " message " << key.second;
@@ -228,12 +224,10 @@ TEST(Transport, AckLossTriggersRetransmitButNoDoubleDelivery) {
   rig.net.set_downlink_fault(net::LeafId{0}, net::UplinkIndex{1}, net::FaultSpec::random_drop(0.5));
   int done = 0;
   rig.transports.at(net::HostId{1}).add_recv_handler([&](const RecvInfo&) { ++done; });
-  bool acked = false;
-  rig.transports.at(net::HostId{0}).send_message(MessageSpec{net::HostId{1}, core::Bytes{64 * 1024}, 0xa, net::Priority::kCollective},
-                                    [&](std::uint64_t) { acked = true; });
+  rig.transports.at(net::HostId{0}).send_message(MessageSpec{net::HostId{1}, core::Bytes{64 * 1024}, 0xa, net::Priority::kCollective});
   rig.sim.run();
   EXPECT_EQ(done, 1);
-  EXPECT_TRUE(acked);
+  EXPECT_EQ(rig.transports.at(net::HostId{0}).stats().messages_sent, 1u);
   EXPECT_GT(rig.transports.at(net::HostId{1}).stats().duplicate_data_received, 0u);
 }
 
